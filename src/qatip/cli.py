@@ -146,9 +146,9 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     from .checkpoint import load_checkpoint
-    from .corpus import Vocabulary, encode_records, load_jsonl
+    from .config import run_config_from_dict
+    from .corpus import UNK_ID, Vocabulary, encode_records, load_jsonl
     from .generation import BeamConfig, batch_generate
-    from .corpus import UNK_ID
 
     model, snapshot = load_checkpoint(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)
@@ -157,26 +157,29 @@ def cmd_generate(args) -> int:
             f"vocabulary has {vocab.size} tokens but checkpoint expects "
             f"{model.config.vocab_size}"
         )
-    run = snapshot.get("run", {})
-    mode = args.mode or run.get("tokenize_mode", "whitespace")
+    # the run the checkpoint was trained with; command-line flags override it
+    run = run_config_from_dict(snapshot.get("run", {}), check_paths=False)
+    mode = args.mode or run.tokenize_mode
     records = load_jsonl(args.data, inference=True)
     triplets = encode_records(
         records,
         vocab,
-        review_max_len=run.get("review_max_len", 150),
-        query_max_len=run.get("query_max_len", 5),
-        tip_max_len=run.get("tip_max_len", 15),
+        review_max_len=run.review_max_len,
+        query_max_len=run.query_max_len,
+        tip_max_len=run.tip_max_len,
         mode=mode,
         inference=True,
     )
-    max_len = args.max_len if args.max_len is not None else run.get("tip_max_len", 15)
     beam = BeamConfig(
-        max_len=max_len,
-        width=args.beam,
-        alpha=args.alpha,
+        max_len=run.tip_max_len if args.max_len is None else args.max_len,
+        width=run.beam_width if args.beam is None else args.beam,
+        alpha=run.length_alpha if args.alpha is None else args.alpha,
         ban_tokens=() if args.keep_unk else (UNK_ID,),
     )
-    results = batch_generate(model, triplets, beam, vocab, mode=mode)
+    try:
+        results = batch_generate(model, triplets, beam, vocab, mode=mode)
+    except ValueError as exc:  # settings no record can decode under
+        raise CliError(str(exc)) from None
     _write_records(
         [{"id": r.record_id, "tip": r.tip or ""} for r in results], args.out
     )
@@ -287,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--beam", type=int, help="beam width (default: the run's beam_width)")
+    p.add_argument("--max-len", type=int, help="tip length cap (default: the run's tip_max_len)")
+    p.add_argument("--alpha", type=float, help="length penalty (default: the run's length_alpha)")
     p.add_argument("--keep-unk", action="store_true", help="allow UNK in output")
     p.add_argument("--mode", default=None, choices=["whitespace", "char"])
     p.add_argument("--out", required=True, help="jsonl output path")

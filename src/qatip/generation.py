@@ -1,8 +1,14 @@
 """Greedy and beam-search decoding over any model exposing the step protocol.
 
 A model provides ``prepare(review_ids, query_ids) -> ctx`` and
-``step_logits(ctx, prefix_ids) -> (V,) ndarray``; each step recomputes from
-the full prefix, so no incremental state is cached between calls.
+``step_logits(ctx, prefix_ids) -> (V,) ndarray``, which recomputes the
+next-token logits from the full prefix.  Greedy decoding and rescoring use
+only that.  Beam search also uses the incremental protocol when a model has
+it: ``start(ctx) -> state`` and ``advance(ctx, state, parents, tokens) ->
+(logits (R, V), state)``, where ``parents`` picks the state row each of the
+R live hypotheses extends and ``tokens`` are their last tokens, so one call
+scores every live hypothesis of a step.  A model without ``advance`` gets
+its rows from ``step_logits`` per live prefix; both feed one selection.
 
 Scoring conventions (mirrored exactly by the test oracles):
   - per-step distribution = log-softmax over logits after masking banned
@@ -55,14 +61,17 @@ class BeamConfig:
             raise ValueError("max_len must be >= 1")
 
 
+def masked_log_softmax(logits, ban_tokens=(UNK_ID,)) -> np.ndarray:
+    """Float64 log-softmax over the last axis with banned tokens at -inf."""
+    logits = np.array(logits, dtype=np.float64)
+    logits[..., list(ban_tokens)] = -np.inf
+    mx = logits.max(axis=-1, keepdims=True)
+    return logits - (mx + np.log(np.exp(logits - mx).sum(axis=-1, keepdims=True)))
+
+
 def step_log_probs(model, ctx, prefix_ids, ban_tokens=(UNK_ID,)) -> np.ndarray:
     """Masked log-softmax over the next-token logits for a prefix."""
-    logits = np.asarray(model.step_logits(ctx, prefix_ids), dtype=np.float64).copy()
-    for tok in ban_tokens:
-        logits[tok] = -np.inf
-    mx = logits.max()
-    lse = mx + np.log(np.exp(logits - mx).sum())
-    return logits - lse
+    return masked_log_softmax(model.step_logits(ctx, prefix_ids), ban_tokens)
 
 
 def rank_key(hyp: Hypothesis, alpha: float):
@@ -82,35 +91,68 @@ def greedy_decode(model, review_ids, query_ids, max_len: int, ban_tokens=(UNK_ID
     return ids[1:]
 
 
+def top_candidates(live: list[Hypothesis], log_probs: np.ndarray, config: BeamConfig):
+    """The ``config.width`` best expansions of ``live`` as (row, Hypothesis), best first.
+
+    ``log_probs`` is (len(live), V); a -inf entry is no candidate.  The
+    result equals sorting one Hypothesis per finite (row, token) by
+    ``rank_key``, but only candidates whose normalized score ties or beats
+    the width-th best are built and sorted.  All live hypotheses share one
+    surface length L: EOS keeps it, every other token makes it L + 1.
+    """
+    surface_len = len(live[0].ids) - 1
+    scores = np.array([h.log_prob for h in live])[:, None] + log_probs
+    valid = log_probs != -np.inf
+    norm = scores
+    if config.alpha != 0.0:
+        norm = scores / (max(1, surface_len + 1) ** config.alpha)
+        norm[:, EOS_ID] = scores[:, EOS_ID] / (max(1, surface_len) ** config.alpha)
+    neg = np.where(valid, -norm, np.inf)
+    k = min(config.width, int(valid.sum()))
+    if k == 0:
+        return []
+    cut = np.partition(neg, k - 1, axis=None)[k - 1]
+    rows, toks = np.nonzero(valid & (neg <= cut))
+    out = []
+    for row, tok in zip(rows.tolist(), toks.tolist()):
+        ids = live[row].ids + (tok,)
+        done = tok == EOS_ID or len(ids) - 1 >= config.max_len
+        out.append((row, Hypothesis(ids, float(scores[row, tok]), done)))
+    out.sort(key=lambda pair: rank_key(pair[1], config.alpha))
+    return out[: config.width]
+
+
 def beam_search(model, review_ids, query_ids, config: BeamConfig) -> list[Hypothesis]:
     """Width-limited best-first expansion with a finished pool.
 
-    Every live hypothesis is expanded over the full vocabulary each step;
+    Every live hypothesis is expanded over the full vocabulary each step,
+    with one model call for all of them when the model has ``advance``;
     the top ``width`` candidates survive, finished ones retiring to the
-    pool.  Returns pool and remaining live hypotheses ranked best-first.
+    pool.  Returns the pool ranked best-first.
     """
     ctx = model.prepare(review_ids, query_ids)
+    incremental = hasattr(model, "advance")
+    state = model.start(ctx) if incremental else None
     live = [Hypothesis(ids=(BOS_ID,), log_prob=0.0, finished=False)]
+    parents = [0]
     pool: list[Hypothesis] = []
     while live:
-        candidates = []
-        for hyp in live:
-            log_probs = step_log_probs(model, ctx, hyp.ids, config.ban_tokens)
-            for tok, lp in enumerate(log_probs):
-                if lp == -np.inf:
-                    continue
-                ids = hyp.ids + (int(tok),)
-                score = hyp.log_prob + float(lp)
-                if tok == EOS_ID:
-                    candidates.append(Hypothesis(ids, score, True))
-                elif len(ids) - 1 >= config.max_len:
-                    candidates.append(Hypothesis(ids, score, True))
-                else:
-                    candidates.append(Hypothesis(ids, score, False))
-        candidates.sort(key=lambda h: rank_key(h, config.alpha))
-        live = []
-        for hyp in candidates[: config.width]:
-            (pool if hyp.finished else live).append(hyp)
+        if incremental:
+            logits, state = model.advance(ctx, state, parents, [h.ids[-1] for h in live])
+        else:
+            logits = np.stack([np.asarray(model.step_logits(ctx, h.ids), dtype=np.float64)
+                               for h in live])
+        log_probs = masked_log_softmax(logits, config.ban_tokens)
+        if np.isnan(log_probs).any():
+            raise ValueError(f"NaN in next-token log-probabilities after {len(live[0].ids) - 1} tokens")
+        survivors = top_candidates(live, log_probs, config)
+        live, parents = [], []
+        for row, hyp in survivors:
+            if hyp.finished:
+                pool.append(hyp)
+            else:
+                live.append(hyp)
+                parents.append(row)
     return sorted(pool, key=lambda h: rank_key(h, config.alpha))
 
 
@@ -135,7 +177,14 @@ class GenerationResult:
 
 def batch_generate(model, triplets, config: BeamConfig, vocab: Vocabulary,
                    mode: str = "whitespace") -> list[GenerationResult]:
-    """Decode a dataset in order; per-record failures are reported, not fatal."""
+    """Decode a dataset in order; per-record failures are reported, not fatal.
+
+    A ``max_len`` the model cannot reach is rejected before any record.
+    """
+    limit = getattr(model, "max_prefix_len", None)
+    if limit is not None and config.max_len > limit:
+        raise ValueError(f"beam max_len {config.max_len} exceeds the model's position table "
+                         f"of {limit} positions")
     results = []
     for idx, trip in enumerate(triplets):
         rid = trip.record_id or str(idx)

@@ -239,6 +239,14 @@ class QaRnnModel:
             self.w_c, self.w_q_attn if self._use_query_attn else None,
             self.b_c, T.reshape(self.v, (self.v.shape[0],)), mask)
 
+    def _decoder_step(self, h_tilde, mask, h_q, emb: Tensor, t: int, s: Tensor, c: Tensor):
+        """Feed position ``t`` of ``emb``; returns (logits (B, V), s, c)."""
+        b = emb.shape[0]
+        context, _ = self._attend(h_tilde, s, h_q, mask)
+        x_t = T.concat_last_dim(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context)
+        s, c = self.decoder.step(x_t, s, c)
+        return T.matmul(s, T.transpose(self.w_v)), s, c
+
     def decode_logits(self, h_tilde, mask, h_q, s0, c0, tip_input, train: bool = False) -> Tensor:
         tip_input = np.asarray(tip_input, dtype=np.int64)
         b, m = tip_input.shape
@@ -246,10 +254,7 @@ class QaRnnModel:
         s, c = s0, c0
         rows = []
         for t in range(m):
-            context, _ = self._attend(h_tilde, s, h_q, mask)
-            x_t = T.concat_last_dim(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context)
-            s, c = self.decoder.step(x_t, s, c)
-            logits_t = T.matmul(s, T.transpose(self.w_v))
+            logits_t, s, c = self._decoder_step(h_tilde, mask, h_q, emb, t, s, c)
             rows.append(T.reshape(logits_t, (b, 1, self.config.vocab_size)))
         return rows[0] if m == 1 else T.concat(rows, axis=1)
 
@@ -278,3 +283,22 @@ class QaRnnModel:
             logits = self.decode_logits(ctx["h_tilde"], ctx["mask"], ctx["h_q"],
                                         ctx["s0"], ctx["c0"], np.asarray([list(prefix_ids)]))
         return logits.data[0, -1].astype(np.float64)
+
+    def start(self, ctx: dict) -> tuple:
+        """Decoder state before the first token: the start state (s0, c0)."""
+        return ctx["s0"], ctx["c0"]
+
+    def advance(self, ctx: dict, state: tuple, parents, tokens):
+        """Next-token logits (R, V) after feeding ``tokens`` to the states ``parents``."""
+        parents = np.asarray(parents, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        r = len(parents)
+        h_tilde, mask, h_q = ctx["h_tilde"], ctx["mask"], ctx["h_q"]
+        with T.no_grad():
+            h_tilde = T.broadcast_to(h_tilde, (r,) + h_tilde.shape[1:])
+            if h_q is not None:
+                h_q = T.broadcast_to(h_q, (r,) + h_q.shape[1:])
+            mask = np.broadcast_to(mask, (r,) + mask.shape[1:])
+            s, c = (Tensor(x.data[parents]) for x in state)
+            logits, s, c = self._decoder_step(h_tilde, mask, h_q, self._embed(tokens, False), 0, s, c)
+        return logits.data.astype(np.float64), (s, c)

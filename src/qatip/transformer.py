@@ -137,12 +137,13 @@ class QaTransformerModel:
             return T.dropout(x, self.config.dropout, rng=self._drop_rng)
         return x
 
-    def _embed(self, ids: np.ndarray, train: bool) -> Tensor:
-        n = ids.shape[1]
+    def _embed(self, ids: np.ndarray, train: bool, offset: int = 0) -> Tensor:
+        """Scaled embeddings plus the position rows ``offset .. offset + width``."""
+        n = offset + ids.shape[1]
         if n > self.config.max_len:
             raise ValueError(f"sequence length {n} exceeds position table {self.config.max_len}")
         scaled = T.scale(T.embedding_lookup(self.emb, ids), np.sqrt(self.config.model_dim))
-        x = T.add(scaled, T.slice_axis(self.pe, 0, 0, n))
+        x = T.add(scaled, T.slice_axis(self.pe, 0, offset, n))
         return self._dropout(x, train)
 
     def _sublayer(self, x: Tensor, out: Tensor, gain: Tensor, bias: Tensor, train: bool) -> Tensor:
@@ -223,21 +224,27 @@ class QaTransformerModel:
 
     # ----- decoder side
 
+    def _decoder_layer(self, blk: _DecoderLayer, x: Tensor, keys: Tensor, self_mask,
+                       kv: Tensor, review_mask: np.ndarray, train: bool) -> Tensor:
+        """Rows ``x`` self-attend over ``keys``, cross-attend over ``kv``, then the FFN."""
+        attn, _ = multi_head(blk.mh, x, keys, keys, mask=self_mask)
+        x = self._sublayer(x, attn, blk.ln1_g, blk.ln1_b, train)
+        cross, _ = multi_head(blk.cross, x, kv, kv, mask=review_mask[:, None, :])
+        x = self._sublayer(x, cross, blk.ln3_g, blk.ln3_b, train)
+        return self._sublayer(x, self._ffn(blk, x), blk.ln2_g, blk.ln2_b, train)
+
+    def _output_logits(self, x: Tensor) -> Tensor:
+        proj = self.emb if self.w_out is None else self.w_out
+        return T.matmul(x, T.transpose(proj))
+
     def decode_logits(self, kv: Tensor, review_mask: np.ndarray, tip_input: np.ndarray,
                       train: bool = False) -> Tensor:
         tip_input = np.asarray(tip_input, dtype=np.int64)
-        m = tip_input.shape[1]
         x = self._embed(tip_input, train)
-        self_mask = causal_mask(m)[None]
-        cross_mask = review_mask[:, None, :]
+        self_mask = causal_mask(tip_input.shape[1])[None]
         for blk in self.dec_layers:
-            attn, _ = multi_head(blk.mh, x, x, x, mask=self_mask)
-            x = self._sublayer(x, attn, blk.ln1_g, blk.ln1_b, train)
-            cross, _ = multi_head(blk.cross, x, kv, kv, mask=cross_mask)
-            x = self._sublayer(x, cross, blk.ln3_g, blk.ln3_b, train)
-            x = self._sublayer(x, self._ffn(blk, x), blk.ln2_g, blk.ln2_b, train)
-        proj = self.emb if self.w_out is None else self.w_out
-        return T.matmul(x, T.transpose(proj))
+            x = self._decoder_layer(blk, x, x, self_mask, kv, review_mask, train)
+        return self._output_logits(x)
 
     def forward(self, batch, train: bool = False) -> Tensor:
         memory, review_mask, h_q_dec = self.encode(
@@ -261,8 +268,38 @@ class QaTransformerModel:
             kv = self.decoder_memory(memory, h_q_dec)
         return {"kv": kv, "review_mask": review_mask}
 
+    @property
+    def max_prefix_len(self) -> int:
+        """Longest BOS-prefixed tip the position table can decode from."""
+        return self.config.max_len
+
     def step_logits(self, ctx: dict, prefix_ids) -> np.ndarray:
         tip = np.asarray([list(prefix_ids)], dtype=np.int64)
         with T.no_grad():
             logits = self.decode_logits(ctx["kv"], ctx["review_mask"], tip, train=False)
         return logits.data[0, -1].astype(np.float64)
+
+    def start(self, ctx: dict) -> list:
+        """Decoder state before the first token: no positions cached in any layer."""
+        empty = Tensor(np.zeros((1, 0, self.config.model_dim), dtype=self.dtype))
+        return [empty] * len(self.dec_layers)
+
+    def advance(self, ctx: dict, state: list, parents, tokens):
+        """Next-token logits (R, V) after appending ``tokens`` to the rows ``parents``.
+
+        The state holds each decoder layer's self-attention inputs (R, t, d)
+        for the t positions seen.  Decoding is causal, so those rows never
+        change: only the new position runs through the layers, attending
+        over the cached rows plus itself.
+        """
+        parents = np.asarray(parents, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        cached = []
+        with T.no_grad():
+            x = self._embed(tokens, train=False, offset=state[0].shape[1])
+            for blk, seen in zip(self.dec_layers, state):
+                keys = T.concat([Tensor(seen.data[parents]), x], axis=1)
+                cached.append(keys)
+                x = self._decoder_layer(blk, x, keys, None, ctx["kv"], ctx["review_mask"], train=False)
+            logits = self._output_logits(x)
+        return logits.data[:, -1].astype(np.float64), cached

@@ -1,10 +1,15 @@
-"""Test doubles for decoding: fixed-logit models and an exhaustive oracle.
+"""Test doubles for decoding: fixed-logit models and two reference decoders.
 
-The oracle deliberately reimplements masking, log-softmax, scoring, and
-ranking with its own code so that agreement with the beam is meaningful.
+The exhaustive oracle deliberately reimplements masking, log-softmax,
+scoring, and ranking with its own code so that agreement with the beam is
+meaningful.  ``reference_beam_search`` is the per-hypothesis beam search the
+batched engine replaced: one ``step_logits`` call per live prefix and one
+Hypothesis per vocabulary entry, all sorted.
 """
 
 import numpy as np
+
+from qatip.generation import Hypothesis, rank_key
 
 BOS, EOS, UNK = 1, 2, 3
 
@@ -91,3 +96,25 @@ def exhaustive_search(model, review_ids, query_ids, max_len, alpha=0.0, banned=(
     walk((BOS,), 0.0)
     finished.sort(key=lambda e: _key(e, alpha))
     return finished
+
+
+def reference_beam_search(model, review_ids, query_ids, config):
+    """Expand every live prefix over the whole vocabulary and sort every candidate."""
+    ctx = model.prepare(review_ids, query_ids)
+    live = [Hypothesis(ids=(BOS,), log_prob=0.0, finished=False)]
+    pool = []
+    while live:
+        candidates = []
+        for hyp in live:
+            log_probs = _log_softmax_masked(model.step_logits(ctx, hyp.ids), config.ban_tokens)
+            for tok, lp in enumerate(log_probs):
+                if lp == -np.inf:
+                    continue
+                ids = hyp.ids + (int(tok),)
+                done = tok == EOS or len(ids) - 1 >= config.max_len
+                candidates.append(Hypothesis(ids, hyp.log_prob + float(lp), done))
+        candidates.sort(key=lambda h: rank_key(h, config.alpha))
+        live = []
+        for hyp in candidates[: config.width]:
+            (pool if hyp.finished else live).append(hyp)
+    return sorted(pool, key=lambda h: rank_key(h, config.alpha))

@@ -145,6 +145,51 @@ def test_generate_vocab_mismatch(workdir, capsys, tmp_path):
     assert "5 tokens" in err["message"] and "expects" in err["message"]
 
 
+def train_variant(workdir, tmp_path, **changes):
+    """A zero-epoch checkpoint of the shared config with ``changes`` applied."""
+    config = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
+    config.update(changes)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "variant"
+    assert main(["train", "--config", str(path), "--out", str(out), "--epochs", "0"]) == 0
+    return str(out / "final.qtip")
+
+
+def test_generate_decodes_with_the_run_beam_width(workdir, capsys, tmp_path, monkeypatch):
+    from qatip import generation
+
+    widths = []
+    real = generation.batch_generate
+
+    def spy(model, triplets, config, *args, **kwargs):
+        widths.append((config.width, config.alpha))
+        return real(model, triplets, config, *args, **kwargs)
+
+    monkeypatch.setattr(generation, "batch_generate", spy)
+    checkpoint = train_variant(workdir, tmp_path, beam_width=2, length_alpha=0.5)
+    common = ["generate", "--checkpoint", checkpoint, "--vocab", workdir["vocab"],
+              "--data", workdir["data"], "--out", str(tmp_path / "g.jsonl")]
+    assert main(common) == 0
+    assert main(common + ["--beam", "3", "--alpha", "0"]) == 0
+    capsys.readouterr()
+    assert widths == [(2, 0.5), (3, 0.0)]
+
+
+def test_generate_rejects_max_len_past_position_table(workdir, capsys, tmp_path):
+    # position table: 2 + the largest length limit (review_max_len 12) = 14
+    checkpoint = train_variant(workdir, tmp_path, arch="transformer", model_dim=8,
+                               num_heads=2, num_layers=1, ffn_dim=16)
+    common = ["generate", "--checkpoint", checkpoint, "--vocab", workdir["vocab"],
+              "--data", workdir["data"], "--out", str(tmp_path / "g.jsonl"), "--beam", "1"]
+    assert main(common + ["--max-len", "14"]) == 0
+    capsys.readouterr()
+    assert main(common + ["--max-len", "15"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    assert "max_len 15" in err["message"] and "14 positions" in err["message"]
+
+
 def test_evaluate_identical_prints_bleu_100(workdir, capsys, tmp_path):
     hyp = str(tmp_path / "hyp.jsonl")
     write_jsonl(

@@ -205,3 +205,32 @@ def test_batch_generate_reports_per_record_errors():
     assert results[0].error is None and results[0].tip is not None
     assert results[1].tip is None and "bad-1" in results[1].error and "record 1" in results[1].error
     assert results[2].error is None and results[2].tip is not None
+
+
+def test_batch_generate_max_len_bounded_by_position_table():
+    from qatip.corpus import EOS_ID, UNK_ID
+    from qatip.transformer import QaTransformerModel, TransformerConfig
+
+    model = QaTransformerModel(TransformerConfig(
+        vocab_size=9, model_dim=8, num_heads=2, num_layers=1, ffn_dim=16,
+        dropout=0.0, variant="both", max_len=6), seed=4)
+    vocab = Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(5)])
+    trips = [Triplet((4, 5, 6), (7,), (), "", "", "", "a")]
+    # with EOS banned every hypothesis runs to the cap
+    at_table = BeamConfig(max_len=6, width=2, ban_tokens=(UNK_ID, EOS_ID))
+    (result,) = batch_generate(model, trips, at_table, vocab)
+    assert result.error is None and len(result.token_ids) == 6
+
+    prepared = []
+    model.prepare = lambda *args: prepared.append(args)
+    past_table = BeamConfig(max_len=7, width=2, ban_tokens=(UNK_ID, EOS_ID))
+    with pytest.raises(ValueError, match=r"max_len 7 exceeds .* of 6 positions"):
+        batch_generate(model, trips, past_table, vocab)
+    assert prepared == []  # rejected before any record
+
+
+def test_beam_reports_nan_logits():
+    model = TableModel(vocab_size=5)
+    model.step_logits = lambda ctx, prefix: np.full(5, np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        beam_search(model, (0,), (0,), BeamConfig(max_len=3, width=2))
