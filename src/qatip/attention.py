@@ -16,6 +16,14 @@ def length_mask(lengths, width: int) -> np.ndarray:
     return np.arange(width)[None, :] < lengths[:, None]
 
 
+def nonempty(ids, lengths):
+    """``(ids, lengths)`` where zero-width or all-PAD rows read one PAD position."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape[1] == 0:
+        ids = np.zeros((ids.shape[0], 1), dtype=np.int64)
+    return ids, np.maximum(np.asarray(lengths, dtype=np.int64), 1)
+
+
 def causal_mask(n: int) -> np.ndarray:
     """(n, n) bool mask; row t may attend to columns <= t."""
     return np.tril(np.ones((n, n), dtype=bool))

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from typing import Mapping
 
 import numpy as np
+
+from .models import FAMILIES
 
 MAGIC = b"QTIP"
 FORMAT_VERSION = 1
@@ -33,29 +36,25 @@ def _canonical_json(obj) -> bytes:
 
 def model_from_config(config: Mapping):
     """Instantiate an untrained model from a checkpoint config snapshot."""
-    from .rnn import QaRnnModel, RnnConfig
-    from .transformer import QaTransformerModel, TransformerConfig
-
     family = config.get("family")
-    if family == "transformer":
-        cls, cfg_cls = QaTransformerModel, TransformerConfig
-    elif family == "rnn":
-        cls, cfg_cls = QaRnnModel, RnnConfig
-    else:
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise CheckpointError(f"config field family has unknown value {family!r}")
     kwargs = {}
-    for f in dataclasses.fields(cfg_cls):
+    for f in dataclasses.fields(cls.Config):
         if f.name not in config:
             raise CheckpointError(f"config is missing field {f.name}")
         kwargs[f.name] = config[f.name]
-    return cls(cfg_cls(**kwargs))
+    return cls(cls.Config(**kwargs))
 
 
 def save_checkpoint(model, config: Mapping, path: str) -> None:
     """Write ``model``'s parameters with ``config`` stored verbatim.
 
     ``config`` must contain the model-architecture fields ``load_checkpoint``
-    needs to rebuild the model (``model.config_dict()`` provides them).
+    needs to rebuild the model (``model.config_dict()`` provides them).  The
+    bytes go to a temporary file beside ``path`` that then replaces it, so a
+    failed save leaves any earlier file at ``path`` whole.
     """
     params = sorted(model.params.parameters(), key=lambda p: p.name)
     manifest = []
@@ -74,11 +73,17 @@ def save_checkpoint(model, config: Mapping, path: str) -> None:
         chunks.append(raw)
         offset += len(raw)
     header = _canonical_json({"config": dict(config), "manifest": manifest})
-    with open(path, "wb") as fh:
-        fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
-        fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
+            fh.write(header)
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the replace
+            os.remove(tmp)
 
 
 def _parse_header(blob: bytes) -> tuple[dict, bytes]:

@@ -13,6 +13,11 @@ import json
 import os
 import sys
 
+from .config import (
+    ARCHES, TOKENIZE_MODES, VARIANTS, RunConfig, load_run_config, model_config_from_run,
+    run_config_from_dict,
+)
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -71,8 +76,6 @@ def cmd_build_vocab(args) -> int:
 
 
 def _load_training_config(args):
-    from .config import RunConfig, load_run_config
-
     config = load_run_config(args.config) if args.config else RunConfig()
     overrides = {}
     for key in ("arch", "variant", "data", "vocab", "epochs", "lr", "seed"):
@@ -86,21 +89,9 @@ def _load_training_config(args):
     return config.validate()
 
 
-def _build_model(config, vocab_size: int):
-    from .config import model_config_from_run
-
-    model_cfg = model_config_from_run(config, vocab_size)
-    if config.arch == "transformer":
-        from .transformer import QaTransformerModel
-
-        return QaTransformerModel(model_cfg, seed=config.seed)
-    from .rnn import QaRnnModel
-
-    return QaRnnModel(model_cfg, seed=config.seed)
-
-
 def cmd_train(args) -> int:
     from .corpus import Vocabulary, encode_records, load_jsonl, split_dataset
+    from .models import FAMILIES
     from .train import train_model
 
     config = _load_training_config(args)
@@ -123,7 +114,7 @@ def cmd_train(args) -> int:
         train_set, valid_set = split.train, split.valid
     else:
         train_set = valid_set = triplets
-    model = _build_model(config, vocab.size)
+    model = FAMILIES[config.arch](model_config_from_run(config, vocab.size), seed=config.seed)
     result = train_model(
         model,
         train_set,
@@ -146,7 +137,6 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     from .checkpoint import load_checkpoint
-    from .config import run_config_from_dict
     from .corpus import UNK_ID, Vocabulary, encode_records, load_jsonl
     from .generation import BeamConfig, batch_generate
 
@@ -269,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="jsonl dataset path")
     p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--max-size", type=int, default=50000)
-    p.add_argument("--mode", default="whitespace", choices=["whitespace", "char"])
+    p.add_argument("--mode", default="whitespace", choices=TOKENIZE_MODES)
     p.add_argument("--out", required=True, help="vocabulary file to write")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model and save checkpoints")
     p.add_argument("--config", help="JSON run-config path")
-    p.add_argument("--arch", choices=["rnn", "transformer"])
-    p.add_argument("--variant", choices=["vanilla", "qa_enc", "qa_dec", "both"])
+    p.add_argument("--arch", choices=ARCHES)
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--data", help="training jsonl path (overrides config)")
     p.add_argument("--vocab", help="vocabulary path (overrides config)")
     p.add_argument("--out", required=True, help="directory for best/final checkpoints")
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, help="tip length cap (default: the run's tip_max_len)")
     p.add_argument("--alpha", type=float, help="length penalty (default: the run's length_alpha)")
     p.add_argument("--keep-unk", action="store_true", help="allow UNK in output")
-    p.add_argument("--mode", default=None, choices=["whitespace", "char"])
+    p.add_argument("--mode", default=None, choices=TOKENIZE_MODES)
     p.add_argument("--out", required=True, help="jsonl output path")
     p.set_defaults(func=cmd_generate)
 
@@ -303,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference dataset jsonl")
     p.add_argument("--embeddings", help="word2vec text file for the semantic metric")
     p.add_argument("--multiset-lexicon", action="store_true")
-    p.add_argument("--mode", default="whitespace", choices=["whitespace", "char"])
+    p.add_argument("--mode", default="whitespace", choices=TOKENIZE_MODES)
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=cmd_evaluate)
 
@@ -314,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="disable the any-token tier")
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
-    p.add_argument("--mode", default="whitespace", choices=["whitespace", "char"])
+    p.add_argument("--mode", default="whitespace", choices=TOKENIZE_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 

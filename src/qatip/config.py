@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 ARCHES = ("rnn", "transformer")
 VARIANTS = ("vanilla", "qa_enc", "qa_dec", "both")
+TOKENIZE_MODES = ("whitespace", "char")
 
 
 class ConfigError(ValueError):
@@ -57,6 +58,10 @@ class RunConfig:
             raise ConfigError(f"arch must be one of {ARCHES}, got {self.arch!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.tokenize_mode not in TOKENIZE_MODES:
+            raise ConfigError(
+                f"tokenize_mode must be one of {TOKENIZE_MODES}, got {self.tokenize_mode!r}"
+            )
         for key in ("review_max_len", "query_max_len", "tip_max_len", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -115,28 +120,6 @@ def load_run_config(path: str, check_paths: bool = True) -> RunConfig:
 
 def model_config_from_run(config: RunConfig, vocab_size: int):
     """Model hyperparameters for the configured architecture."""
-    if config.arch == "transformer":
-        from .transformer import TransformerConfig
+    from .models import FAMILIES
 
-        return TransformerConfig(
-            vocab_size=vocab_size,
-            model_dim=config.model_dim,
-            num_heads=config.num_heads,
-            num_layers=config.num_layers,
-            ffn_dim=config.ffn_dim,
-            dropout=config.dropout,
-            variant=config.variant,
-            max_len=2 + max(config.review_max_len, config.query_max_len, config.tip_max_len),
-            query_block_depth=config.query_block_depth,
-            share_query_block=config.share_query_block,
-            tie_output=config.tie_output,
-        )
-    from .rnn import RnnConfig
-
-    return RnnConfig(
-        vocab_size=vocab_size,
-        emb_dim=config.emb_dim,
-        hidden_dim=config.hidden_dim,
-        variant=config.variant,
-        dropout=config.dropout,
-    )
+    return FAMILIES[config.arch].Config.from_run(config, vocab_size)

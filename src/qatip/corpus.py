@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import TOKENIZE_MODES
+
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = (PAD, BOS, EOS, UNK)
@@ -47,7 +49,7 @@ def tokenize(text: str, mode: str = "whitespace") -> list[str]:
         return text.lower().split()
     if mode == "char":
         return [ch for ch in text if not ch.isspace()]
-    raise ValueError(f"unknown tokenize mode: {mode!r}")
+    raise ValueError(f"unknown tokenize mode: {mode!r}, expected one of {TOKENIZE_MODES}")
 
 
 def detokenize(tokens: Sequence[str], mode: str = "whitespace") -> str:

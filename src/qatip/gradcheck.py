@@ -75,12 +75,6 @@ def _randn(rng, shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
-def _project(out: Tensor, rng) -> Tensor:
-    # random fixed linear functional turns any output into a scalar loss
-    c = Tensor(rng.standard_normal(out.shape), dtype=np.float64)
-    return T.sum_all(T.mul(out, c))
-
-
 def _check_matmul(rng, h=STEP):
     b, n, k, m = rng.integers(1, 4), rng.integers(2, 5), rng.integers(2, 5), rng.integers(2, 5)
     a = _randn(rng, (b, n, k))

@@ -25,10 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import length_mask
+from .attention import length_mask, nonempty
+from .config import VARIANTS
 from .tensor import ParamStore, Tensor
-
-VARIANTS = ("vanilla", "qa_enc", "qa_dec", "both")
 
 
 @dataclass
@@ -44,6 +43,11 @@ class RnnConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+
+    @classmethod
+    def from_run(cls, run, vocab_size: int) -> "RnnConfig":
+        return cls(vocab_size=vocab_size, emb_dim=run.emb_dim, hidden_dim=run.hidden_dim,
+                   variant=run.variant, dropout=run.dropout)
 
 
 class LstmCell:
@@ -97,7 +101,7 @@ def bilstm_encode(fwd: LstmCell, bwd: LstmCell, emb: Tensor, lengths):
     f_states = _scan(fwd, emb, step_masks, reverse=False)
     b_states = _scan(bwd, emb, step_masks, reverse=True)
 
-    rows = [T.reshape(T.concat_last_dim(f_states[t], b_states[t]), (b, 1, 2 * fwd.hidden)) for t in range(n)]
+    rows = [T.reshape(T.concat([f_states[t], b_states[t]]), (b, 1, 2 * fwd.hidden)) for t in range(n)]
     h_seq = rows[0] if n == 1 else T.concat(rows, axis=1)
 
     # pick fwd state at the last real step via a one-hot time selector
@@ -106,7 +110,7 @@ def bilstm_encode(fwd: LstmCell, bwd: LstmCell, emb: Tensor, lengths):
     fwd_stack = T.concat([T.reshape(s, (b, 1, fwd.hidden)) for s in f_states], axis=1) if n > 1 \
         else T.reshape(f_states[0], (b, 1, fwd.hidden))
     fwd_last = T.reshape(T.matmul(Tensor(select), fwd_stack), (b, fwd.hidden))
-    summary = T.concat_last_dim(fwd_last, b_states[0])
+    summary = T.concat([fwd_last, b_states[0]])
     return h_seq, summary
 
 
@@ -115,7 +119,7 @@ def selective_gate(h_seq: Tensor, h_r: Tensor, h_q: Tensor,
     """g_t = sigmoid(W_r [H_t; h_r] + W_q h_q + b_g); returns (g * H, g)."""
     b, n, width = h_seq.shape
     h_r_rows = T.broadcast_to(T.reshape(h_r, (b, 1, width)), (b, n, width))
-    stacked = T.concat_last_dim(h_seq, h_r_rows)
+    stacked = T.concat([h_seq, h_r_rows])
     pre = T.matmul(stacked, T.transpose(w_r))
     query_term = T.reshape(T.matmul(h_q, T.transpose(w_q_gate)), (b, 1, width))
     gate = T.sigmoid(T.add(T.add(pre, query_term), b_g))
@@ -133,7 +137,7 @@ def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
     b, n, width = h_tilde.shape
     d_a = v.shape[0]
     state_rows = T.broadcast_to(T.reshape(state, (b, 1, width)), (b, n, width))
-    c = T.add(T.matmul(T.concat_last_dim(h_tilde, state_rows), T.transpose(w_c)), b_c)
+    c = T.add(T.matmul(T.concat([h_tilde, state_rows]), T.transpose(w_c)), b_c)
     if h_q is not None:
         c = T.add(c, T.reshape(T.matmul(h_q, T.transpose(w_q_attn)), (b, 1, d_a)))
     scores = T.transpose(T.matmul(T.tanh(c), T.reshape(v, (d_a, 1))), 1, 2)  # (B, 1, N)
@@ -144,6 +148,7 @@ def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
 
 class QaRnnModel:
     family = "rnn"
+    Config = RnnConfig
 
     def __init__(self, config: RnnConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -192,14 +197,6 @@ class QaRnnModel:
             x = T.dropout(x, self.config.dropout, rng=self._drop_rng)
         return x
 
-    @staticmethod
-    def _nonempty(ids, lengths):
-        ids = np.asarray(ids, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if ids.shape[1] == 0:
-            ids = np.zeros((ids.shape[0], 1), dtype=np.int64)
-        return ids, np.maximum(lengths, 1)  # all-PAD rows read the PAD embedding
-
     def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False):
         """Returns (H~ (B,N,2d), review_mask, h_q or None, s0, c0)."""
         review_ids = np.asarray(review_ids, dtype=np.int64)
@@ -208,7 +205,7 @@ class QaRnnModel:
                                    self._embed(review_ids, train), review_lengths)
         h_q = None
         if self.config.variant != "vanilla":
-            q_ids, q_len = self._nonempty(query_ids, query_lengths)
+            q_ids, q_len = nonempty(query_ids, query_lengths)
             _, h_q = bilstm_encode(self.query_fwd, self.query_bwd,
                                    self._embed(q_ids, train), q_len)
         if self._use_gate:
@@ -222,10 +219,10 @@ class QaRnnModel:
         select[np.arange(b), 0, review_lengths - 1] = 1.0
         at_last = T.reshape(T.matmul(Tensor(select), h_tilde), (b, width))
         at_first = T.reshape(T.slice_axis(h_tilde, 1, 0, 1), (b, width))
-        gated_summary = T.concat_last_dim(
+        gated_summary = T.concat([
             T.slice_axis(at_last, -1, 0, width // 2),
             T.slice_axis(at_first, -1, width // 2, width),
-        )
+        ])
         s0 = T.tanh(T.add(T.matmul(gated_summary, self.w_init), self.b_init))
         c0 = Tensor(np.zeros((b, width), dtype=self.dtype))
         mask = length_mask(review_lengths, n)
@@ -243,7 +240,7 @@ class QaRnnModel:
         """Feed position ``t`` of ``emb``; returns (logits (B, V), s, c)."""
         b = emb.shape[0]
         context, _ = self._attend(h_tilde, s, h_q, mask)
-        x_t = T.concat_last_dim(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context)
+        x_t = T.concat([T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context])
         s, c = self.decoder.step(x_t, s, c)
         return T.matmul(s, T.transpose(self.w_v)), s, c
 

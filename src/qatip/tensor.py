@@ -60,23 +60,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 @dataclass
@@ -85,7 +70,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    init_spec: str = "glorot_uniform"
 
 
 def _result(data, parents, backward_fn):
@@ -366,10 +350,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return _result(out_data, tuple(tensors), bwd)
 
 
-def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
-    return concat([a, b], axis=-1)
-
-
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     nd = a.data.ndim
     ax = axis if axis >= 0 else nd + axis
@@ -522,34 +502,31 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
 
-    def _register(self, name: str, data: np.ndarray, init_spec: str) -> Tensor:
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(data.astype(self.dtype), requires_grad=True)
-        self._params[name] = Parameter(name=name, tensor=t, init_spec=init_spec)
+        self._params[name] = Parameter(name=name, tensor=t)
         return t
 
     def glorot(self, name: str, shape) -> Tensor:
         lim = glorot_limit(shape)
-        return self._register(name, self.rng.uniform(-lim, lim, size=shape), "glorot_uniform")
+        return self._register(name, self.rng.uniform(-lim, lim, size=shape))
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self._register(name, np.zeros(shape), "zeros")
+        return self._register(name, np.zeros(shape))
 
     def ones(self, name: str, shape) -> Tensor:
-        return self._register(name, np.ones(shape), "ones")
+        return self._register(name, np.ones(shape))
 
     def lstm_bias(self, name: str, hidden: int) -> Tensor:
         # gate order i, f, g, o; forget gate biased +1 for stable tiny-data runs
         b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = 1.0
-        return self._register(name, b, "zeros+forget1")
+        return self._register(name, b)
 
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
-
-    def tensors(self) -> list[Tensor]:
-        return [p.tensor for p in self._params.values()]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name].tensor

@@ -86,13 +86,19 @@ def train_model(
         )
         total = 0.0
         count = 0
-        for batch in batches:
+        for index, batch in enumerate(batches):
             optimizer.zero_grad()
             loss = model.forward_loss(batch, train=True)
             backward(loss)
-            clip_global_norm(params, config.grad_clip)
+            value = float(loss.data)
+            norm = clip_global_norm(params, config.grad_clip)
+            if not (math.isfinite(value) and math.isfinite(norm)):
+                raise ValueError(
+                    f"epoch {epoch} batch {index}: non-finite training loss {value} "
+                    f"or gradient norm {norm}"
+                )
             optimizer.step()
-            total += float(loss.data) * batch.size
+            total += value * batch.size
             count += batch.size
         stats = EpochStats(
             epoch=epoch,

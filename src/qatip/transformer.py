@@ -26,11 +26,11 @@ from .attention import (
     init_multi_head,
     length_mask,
     multi_head,
+    nonempty,
     sinusoidal_positions,
 )
+from .config import VARIANTS
 from .tensor import ParamStore, Tensor
-
-VARIANTS = ("vanilla", "qa_enc", "qa_dec", "both")
 
 
 @dataclass
@@ -58,12 +58,23 @@ class TransformerConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         MultiHeadConfig(self.model_dim, self.num_heads)  # divisibility check
 
+    @classmethod
+    def from_run(cls, run, vocab_size: int) -> "TransformerConfig":
+        return cls(
+            vocab_size=vocab_size, model_dim=run.model_dim, num_heads=run.num_heads,
+            num_layers=run.num_layers, ffn_dim=run.ffn_dim, dropout=run.dropout,
+            variant=run.variant, query_block_depth=run.query_block_depth,
+            share_query_block=run.share_query_block, tie_output=run.tie_output,
+            # the position table covers BOS/EOS plus the longest sequence the run encodes
+            max_len=2 + max(run.review_max_len, run.query_max_len, run.tip_max_len),
+        )
+
 
 def fuse(h_a: Tensor, h_b: Tensor, w: Tensor) -> Tensor:
     """[h_a; h_b] W : feature-wise concat then projection back to d."""
     if h_a.shape[:-1] != h_b.shape[:-1]:
         raise ValueError(f"fuse row mismatch: {h_a.shape} vs {h_b.shape}")
-    return T.matmul(T.concat_last_dim(h_a, h_b), w)
+    return T.matmul(T.concat([h_a, h_b]), w)
 
 
 class _Block:
@@ -93,6 +104,7 @@ class _DecoderLayer(_Block):
 
 class QaTransformerModel:
     family = "transformer"
+    Config = TransformerConfig
 
     def __init__(self, config: TransformerConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -160,20 +172,6 @@ class QaTransformerModel:
 
     # ----- encoder side
 
-    @staticmethod
-    def _nonempty(ids: np.ndarray, lengths: np.ndarray):
-        """Zero-width or all-PAD rows fall back to a single PAD position."""
-        ids = np.asarray(ids, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if ids.shape[1] == 0:
-            ids = np.zeros((ids.shape[0], 1), dtype=np.int64)
-        mask = length_mask(lengths, ids.shape[1])
-        empty = ~mask.any(axis=1)
-        if empty.any():
-            mask = mask.copy()
-            mask[empty, 0] = True
-        return ids, mask
-
     def _query_summary(self, blocks: list[_Block], e_r: Tensor, e_q: Tensor,
                        query_mask: np.ndarray, train: bool) -> Tensor:
         """Review-aligned query representation: review rows attend over query tokens."""
@@ -196,7 +194,8 @@ class QaTransformerModel:
 
         h_q = None
         if self._needs_query:
-            q_ids, q_mask = self._nonempty(query_ids, query_lengths)
+            q_ids, q_len = nonempty(query_ids, query_lengths)
+            q_mask = length_mask(q_len, q_ids.shape[1])
             e_q = self._embed(q_ids, train)
             h_q = self._query_summary(self.query_blocks, e_r, e_q, q_mask, train)
 
@@ -210,7 +209,6 @@ class QaTransformerModel:
         h_q_dec = None
         if cfg.variant in ("qa_dec", "both"):
             if self.query_blocks_dec:
-                q_ids, q_mask = self._nonempty(query_ids, query_lengths)
                 e_q = self._embed(q_ids, train)
                 h_q_dec = self._query_summary(self.query_blocks_dec, e_r, e_q, q_mask, train)
             else:

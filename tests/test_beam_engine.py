@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoding_refs import TableModel, reference_beam_search
+from qatip.config import VARIANTS
 from qatip.generation import BeamConfig, Hypothesis, beam_search, rank_key, top_candidates
 from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.transformer import QaTransformerModel, TransformerConfig
 
-VARIANTS = ("vanilla", "qa_enc", "qa_dec", "both")
 REVIEW, QUERY = (4, 5, 6, 7, 8), (9, 10)
 
 

@@ -189,3 +189,40 @@ def test_extra_config_keys_are_preserved(tmp_path):
     _, loaded = load_checkpoint(path)
     assert loaded["note"] == "hello"
     assert loaded["run"] == {"seed": 5}
+
+
+class TornFile:
+    """A writable file whose second write fails, as a crash mid-save would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+def test_failed_save_leaves_previous_file_whole(tmp_path, monkeypatch):
+    import qatip.checkpoint
+
+    path = save_path(tmp_path)
+    old = tiny_transformer(seed=1)
+    save_checkpoint(old, old.config_dict(), path)
+    before = open(path, "rb").read()
+    real_open = open
+    monkeypatch.setattr(qatip.checkpoint, "open",
+                        lambda *args, **kwargs: TornFile(real_open(*args, **kwargs)), raising=False)
+    new = tiny_transformer(seed=2)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(new, new.config_dict(), path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.qtip"]

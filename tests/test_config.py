@@ -117,3 +117,9 @@ def test_to_dict_round_trip():
     config = run_config_from_dict({"arch": "rnn", "seed": 9}, check_paths=False)
     again = run_config_from_dict(config.to_dict(), check_paths=False)
     assert again == config
+
+
+def test_unknown_tokenize_mode_rejected():
+    with pytest.raises(ConfigError, match="tokenize_mode must be one of"):
+        run_config_from_dict({"tokenize_mode": "chars"})
+    assert run_config_from_dict({"tokenize_mode": "char"}).tokenize_mode == "char"

@@ -108,3 +108,12 @@ def test_mean_loss_matches_manual():
     got = mean_loss(model, batches)
     total = sum(float(model.forward_loss(b, train=False).data) * b.size for b in batches)
     assert got == pytest.approx(total / len(triplets), abs=1e-9)
+
+
+def test_non_finite_loss_stops_training(tmp_path):
+    model, triplets, config, _ = tiny_setup(epochs=2)
+    model.params.parameters()[0].tensor.data[...] = np.nan
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="epoch 0 batch 0: non-finite training loss nan"):
+        train_model(model, triplets, triplets, config, out_dir=str(out))
+    assert not (out / "final.qtip").exists()
