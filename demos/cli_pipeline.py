@@ -1,18 +1,29 @@
 """The whole command-line pipeline on the bundled corpus, run in-process.
 
 Identical to running the `qatip` executable once per subcommand; a temp
-directory holds the vocabulary, checkpoints, generations, and the report.
+directory, removed at exit, holds the vocabulary, checkpoints, generations,
+and the report.  The first failing subcommand ends the demo with its exit code.
 """
 
+import atexit
 import json
+import shutil
+import sys
 import tempfile
 from pathlib import Path
 
-from qatip.cli import main
+from qatip import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 work = Path(tempfile.mkdtemp(prefix="qatip_demo_"))
+atexit.register(shutil.rmtree, work, ignore_errors=True)
 print("working in", work)
+
+
+def main(argv):
+    code = cli.main(argv)
+    if code:
+        sys.exit(code)
 
 data = str(DATA / "sample_triplets.jsonl")
 vocab = str(work / "vocab.txt")

@@ -1,5 +1,8 @@
 """Train a small model until it memorizes, then decode greedily and with beams."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from qatip.checkpoint import load_checkpoint, save_checkpoint
@@ -52,10 +55,12 @@ for hyp in beam_search(model, trip.review_ids, trip.query_ids,
     print(f"  {hyp.log_prob:8.3f}  {text!r}")
 
 # the checkpoint round trip is exact: same bytes, same outputs
-save_checkpoint(model, model.config_dict(), "/tmp/demo_model.qtip")
-restored, snapshot = load_checkpoint("/tmp/demo_model.qtip")
-save_checkpoint(restored, snapshot, "/tmp/demo_model_again.qtip")
-same = open("/tmp/demo_model.qtip", "rb").read() == open("/tmp/demo_model_again.qtip", "rb").read()
+with tempfile.TemporaryDirectory(prefix="qatip_demo_") as tmp:
+    saved, again_path = Path(tmp) / "model.qtip", Path(tmp) / "again.qtip"
+    save_checkpoint(model, model.config_dict(), str(saved))
+    restored, snapshot = load_checkpoint(str(saved))
+    save_checkpoint(restored, snapshot, str(again_path))
+    same = saved.read_bytes() == again_path.read_bytes()
 print("checkpoint round trip byte-identical:", same)
 again = greedy_decode(restored, trip.review_ids, trip.query_ids, max_len=8)
 print("restored model decodes identically:",

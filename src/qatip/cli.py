@@ -59,6 +59,8 @@ def _read_generated(path: str) -> list[dict]:
                 raise CliError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
             if not isinstance(row, dict) or "id" not in row or "tip" not in row:
                 raise CliError(f"{path} line {lineno}: expected fields id and tip")
+            if not isinstance(row["tip"], str):
+                raise CliError(f"{path} line {lineno}: tip must be a string, got {json.dumps(row['tip'])}")
             rows.append(row)
     return rows
 
@@ -122,6 +124,7 @@ def cmd_train(args) -> int:
         config,
         out_dir=args.out,
         log=lambda stats: print(stats.record()),
+        vocab_fingerprint=vocab.fingerprint(),
     )
     print(
         json.dumps(
@@ -146,6 +149,13 @@ def cmd_generate(args) -> int:
         raise CliError(
             f"vocabulary has {vocab.size} tokens but checkpoint expects "
             f"{model.config.vocab_size}"
+        )
+    # checkpoints written before the fingerprint was stored keep the size check only
+    trained_on = snapshot.get("vocab_sha256")
+    if trained_on is not None and trained_on != vocab.fingerprint():
+        raise CliError(
+            f"vocabulary {args.vocab} has the checkpoint's {vocab.size} tokens but not its "
+            f"token list (sha256 {vocab.fingerprint()[:12]}, trained on {trained_on[:12]})"
         )
     # the run the checkpoint was trained with; command-line flags override it
     run = run_config_from_dict(snapshot.get("run", {}), check_paths=False)

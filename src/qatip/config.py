@@ -69,6 +69,12 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.beam_width < 1:
+            raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
         if check_paths:
             for key in ("data", "vocab"):
                 path = getattr(self, key)

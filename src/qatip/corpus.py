@@ -8,6 +8,7 @@ batch orders are identical across runs and platforms.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -81,6 +82,10 @@ class Vocabulary:
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the token list as ``save`` writes it, one token per line."""
+        return hashlib.sha256("".join(t + "\n" for t in self.id_to_token).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

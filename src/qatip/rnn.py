@@ -20,13 +20,14 @@ W_v . state.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import length_mask, nonempty
 from .config import VARIANTS
+from .seq2seq import Seq2Seq
 from .tensor import ParamStore, Tensor
 
 
@@ -71,8 +72,8 @@ class LstmCell:
         return h_new, c_new
 
 
-def _scan(cell: LstmCell, emb: Tensor, step_masks: list[Tensor], reverse: bool) -> list[Tensor]:
-    """Run a masked LSTM over time; returns per-step hidden states (B, d)."""
+def _scan(cell: LstmCell, emb: Tensor, step_masks: list[Tensor], reverse: bool) -> Tensor:
+    """Run a masked LSTM over time; returns the hidden states (B, N, d)."""
     b, n, e = emb.shape
     dtype = emb.dtype
     h = Tensor(np.zeros((b, cell.hidden), dtype=dtype))
@@ -84,8 +85,19 @@ def _scan(cell: LstmCell, emb: Tensor, step_masks: list[Tensor], reverse: bool) 
         h_new, c_new = cell.step(x_t, h, c)
         h = T.mul(h_new, step_masks[t])  # PAD steps stay exactly zero
         c = T.mul(c_new, step_masks[t])
-        states[t] = h
-    return states
+        states[t] = T.reshape(h, (b, 1, cell.hidden))
+    return T.concat(states, axis=1)
+
+
+def _summary(h_seq: Tensor, lengths: np.ndarray) -> Tensor:
+    """[fwd half at the last real step; bwd half at step 0] of states (B, N, 2d)."""
+    b, n, width = h_seq.shape
+    select = np.zeros((b, 1, n), dtype=h_seq.dtype)  # one-hot time selector
+    select[np.arange(b), 0, lengths - 1] = 1.0
+    at_last = T.reshape(T.matmul(Tensor(select), h_seq), (b, width))
+    at_first = T.reshape(T.slice_axis(h_seq, 1, 0, 1), (b, width))
+    return T.concat([T.slice_axis(at_last, -1, 0, width // 2),
+                     T.slice_axis(at_first, -1, width // 2, width)])
 
 
 def bilstm_encode(fwd: LstmCell, bwd: LstmCell, emb: Tensor, lengths):
@@ -93,25 +105,14 @@ def bilstm_encode(fwd: LstmCell, bwd: LstmCell, emb: Tensor, lengths):
     lengths = np.asarray(lengths, dtype=np.int64)
     if (lengths < 1).any():
         raise ValueError("zero-length sequence in bilstm_encode")
-    b, n, _ = emb.shape
+    n = emb.shape[1]
     if lengths.max() > n:
         raise ValueError("length exceeds sequence width")
     mask = length_mask(lengths, n)
     step_masks = [Tensor(mask[:, t : t + 1].astype(emb.dtype)) for t in range(n)]
-    f_states = _scan(fwd, emb, step_masks, reverse=False)
-    b_states = _scan(bwd, emb, step_masks, reverse=True)
-
-    rows = [T.reshape(T.concat([f_states[t], b_states[t]]), (b, 1, 2 * fwd.hidden)) for t in range(n)]
-    h_seq = rows[0] if n == 1 else T.concat(rows, axis=1)
-
-    # pick fwd state at the last real step via a one-hot time selector
-    select = np.zeros((b, 1, n), dtype=emb.dtype)
-    select[np.arange(b), 0, lengths - 1] = 1.0
-    fwd_stack = T.concat([T.reshape(s, (b, 1, fwd.hidden)) for s in f_states], axis=1) if n > 1 \
-        else T.reshape(f_states[0], (b, 1, fwd.hidden))
-    fwd_last = T.reshape(T.matmul(Tensor(select), fwd_stack), (b, fwd.hidden))
-    summary = T.concat([fwd_last, b_states[0]])
-    return h_seq, summary
+    h_seq = T.concat([_scan(fwd, emb, step_masks, reverse=False),
+                      _scan(bwd, emb, step_masks, reverse=True)])
+    return h_seq, _summary(h_seq, lengths)
 
 
 def selective_gate(h_seq: Tensor, h_r: Tensor, h_q: Tensor,
@@ -146,16 +147,13 @@ def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
     return context, T.reshape(weights, (b, n))
 
 
-class QaRnnModel:
+class QaRnnModel(Seq2Seq):
     family = "rnn"
     Config = RnnConfig
 
     def __init__(self, config: RnnConfig, seed: int = 0, dtype=np.float32):
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self._drop_rng = np.random.default_rng(seed + 1)
-        store = ParamStore(rng, dtype=dtype)
+        super().__init__(config, seed, dtype)
+        store = self.params
         cfg = config
         d, e = cfg.hidden_dim, cfg.emb_dim
         width = 2 * d  # encoder state / decoder hidden / attention dim
@@ -182,24 +180,14 @@ class QaRnnModel:
         self.b_init = store.zeros("dec.b_init", (width,))
         self.decoder = LstmCell(store, "dec.cell", e + width, width)
         self.w_v = store.glorot("w_v", (cfg.vocab_size, width))
-        self.params = store
-
-    def config_dict(self) -> dict:
-        out = asdict(self.config)
-        out["family"] = self.family
-        return out
 
     # ----- encoder side
 
     def _embed(self, ids: np.ndarray, train: bool) -> Tensor:
-        x = T.embedding_lookup(self.emb, np.asarray(ids, dtype=np.int64))
-        if train and self.config.dropout > 0.0:
-            x = T.dropout(x, self.config.dropout, rng=self._drop_rng)
-        return x
+        return self._dropout(T.embedding_lookup(self.emb, np.asarray(ids, dtype=np.int64)), train)
 
-    def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False):
-        """Returns (H~ (B,N,2d), review_mask, h_q or None, s0, c0)."""
-        review_ids = np.asarray(review_ids, dtype=np.int64)
+    def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False) -> dict:
+        """Decoding context: H~ (B,N,2d), its mask, h_q or None, decoder start s0, c0."""
         review_lengths = np.asarray(review_lengths, dtype=np.int64)
         h_seq, h_r = bilstm_encode(self.review_fwd, self.review_bwd,
                                    self._embed(review_ids, train), review_lengths)
@@ -215,71 +203,34 @@ class QaRnnModel:
 
         b, n, width = h_tilde.shape
         # decoder start: affine+tanh of the gated summary [fwd_last; bwd_first]
-        select = np.zeros((b, 1, n), dtype=self.dtype)
-        select[np.arange(b), 0, review_lengths - 1] = 1.0
-        at_last = T.reshape(T.matmul(Tensor(select), h_tilde), (b, width))
-        at_first = T.reshape(T.slice_axis(h_tilde, 1, 0, 1), (b, width))
-        gated_summary = T.concat([
-            T.slice_axis(at_last, -1, 0, width // 2),
-            T.slice_axis(at_first, -1, width // 2, width),
-        ])
-        s0 = T.tanh(T.add(T.matmul(gated_summary, self.w_init), self.b_init))
+        s0 = T.tanh(T.add(T.matmul(_summary(h_tilde, review_lengths), self.w_init), self.b_init))
         c0 = Tensor(np.zeros((b, width), dtype=self.dtype))
-        mask = length_mask(review_lengths, n)
-        return h_tilde, mask, h_q, s0, c0
+        return {"h_tilde": h_tilde, "mask": length_mask(review_lengths, n), "h_q": h_q, "s0": s0, "c0": c0}
 
     # ----- decoder side
-
-    def _attend(self, h_tilde, state, h_q, mask):
-        return qa_attention(
-            h_tilde, state, h_q if self._use_query_attn else None,
-            self.w_c, self.w_q_attn if self._use_query_attn else None,
-            self.b_c, T.reshape(self.v, (self.v.shape[0],)), mask)
 
     def _decoder_step(self, h_tilde, mask, h_q, emb: Tensor, t: int, s: Tensor, c: Tensor):
         """Feed position ``t`` of ``emb``; returns (logits (B, V), s, c)."""
         b = emb.shape[0]
-        context, _ = self._attend(h_tilde, s, h_q, mask)
+        use_q = self._use_query_attn
+        context, _ = qa_attention(h_tilde, s, h_q if use_q else None, self.w_c,
+                                  self.w_q_attn if use_q else None, self.b_c,
+                                  T.reshape(self.v, (self.v.shape[0],)), mask)
         x_t = T.concat([T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context])
         s, c = self.decoder.step(x_t, s, c)
         return T.matmul(s, T.transpose(self.w_v)), s, c
 
-    def decode_logits(self, h_tilde, mask, h_q, s0, c0, tip_input, train: bool = False) -> Tensor:
-        tip_input = np.asarray(tip_input, dtype=np.int64)
-        b, m = tip_input.shape
+    def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
         emb = self._embed(tip_input, train)
-        s, c = s0, c0
+        b, m, _ = emb.shape
+        s, c = ctx["s0"], ctx["c0"]
         rows = []
         for t in range(m):
-            logits_t, s, c = self._decoder_step(h_tilde, mask, h_q, emb, t, s, c)
+            logits_t, s, c = self._decoder_step(ctx["h_tilde"], ctx["mask"], ctx["h_q"], emb, t, s, c)
             rows.append(T.reshape(logits_t, (b, 1, self.config.vocab_size)))
-        return rows[0] if m == 1 else T.concat(rows, axis=1)
-
-    def forward(self, batch, train: bool = False) -> Tensor:
-        h_tilde, mask, h_q, s0, c0 = self.encode(
-            batch.review, batch.review_lengths, batch.query, batch.query_lengths, train)
-        return self.decode_logits(h_tilde, mask, h_q, s0, c0, batch.tip_input, train)
-
-    def forward_loss(self, batch, train: bool = True) -> Tensor:
-        logits = self.forward(batch, train=train)
-        tip_mask = length_mask(batch.tip_lengths, batch.tip_target.shape[1])
-        return T.nll_loss(logits, batch.tip_target, pad_mask=tip_mask)
+        return T.concat(rows, axis=1)
 
     # ----- decoding protocol
-
-    def prepare(self, review_ids, query_ids) -> dict:
-        review = np.asarray([list(review_ids)], dtype=np.int64)
-        query = np.asarray([list(query_ids)], dtype=np.int64)
-        with T.no_grad():
-            h_tilde, mask, h_q, s0, c0 = self.encode(
-                review, np.array([review.shape[1]]), query, np.array([query.shape[1]]), train=False)
-        return {"h_tilde": h_tilde, "mask": mask, "h_q": h_q, "s0": s0, "c0": c0}
-
-    def step_logits(self, ctx: dict, prefix_ids) -> np.ndarray:
-        with T.no_grad():
-            logits = self.decode_logits(ctx["h_tilde"], ctx["mask"], ctx["h_q"],
-                                        ctx["s0"], ctx["c0"], np.asarray([list(prefix_ids)]))
-        return logits.data[0, -1].astype(np.float64)
 
     def start(self, ctx: dict) -> tuple:
         """Decoder state before the first token: the start state (s0, c0)."""

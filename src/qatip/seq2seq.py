@@ -1,0 +1,56 @@
+"""The encode/decode skeleton both model families share.
+
+A family sets ``family`` and ``Config`` and defines ``encode(review,
+review_lengths, query, query_lengths, train)``, which returns the decoding
+context dict, and ``decode_logits(ctx, tip_input, train)``, which reads it
+with teacher forcing and returns logits (B, M, V).  Training, scoring and
+prefix decoding are written once here on top of those two methods.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict
+
+import numpy as np
+
+from . import tensor as T
+from .attention import length_mask
+from .tensor import ParamStore, Tensor
+
+
+class Seq2Seq:
+    def __init__(self, config, seed: int = 0, dtype=np.float32):
+        self.config = config
+        self.dtype = np.dtype(dtype)
+        self.params = ParamStore(np.random.default_rng(seed), dtype=dtype)
+        self._drop_rng = np.random.default_rng(seed + 1)
+
+    def config_dict(self) -> dict:
+        return {**asdict(self.config), "family": self.family}
+
+    def _dropout(self, x: Tensor, train: bool) -> Tensor:
+        if train and self.config.dropout > 0.0:
+            return T.dropout(x, self.config.dropout, rng=self._drop_rng)
+        return x
+
+    def forward(self, batch, train: bool = False) -> Tensor:
+        ctx = self.encode(batch.review, batch.review_lengths, batch.query, batch.query_lengths, train)
+        return self.decode_logits(ctx, batch.tip_input, train)
+
+    def forward_loss(self, batch, train: bool = True) -> Tensor:
+        logits = self.forward(batch, train=train)
+        mask = length_mask(batch.tip_lengths, batch.tip_target.shape[1])
+        return T.nll_loss(logits, batch.tip_target, pad_mask=mask)
+
+    # ----- decoding protocol
+
+    def prepare(self, review_ids, query_ids) -> dict:
+        review = np.asarray([list(review_ids)], dtype=np.int64)
+        query = np.asarray([list(query_ids)], dtype=np.int64)
+        with T.no_grad():
+            return self.encode(review, np.array([review.shape[1]]), query, np.array([query.shape[1]]))
+
+    def step_logits(self, ctx: dict, prefix_ids) -> np.ndarray:
+        with T.no_grad():
+            logits = self.decode_logits(ctx, np.asarray([list(prefix_ids)], dtype=np.int64))
+        return logits.data[0, -1].astype(np.float64)

@@ -66,10 +66,14 @@ def train_model(
     config: RunConfig,
     out_dir: str | None = None,
     log=None,
+    vocab_fingerprint: str | None = None,
 ) -> TrainResult:
+    """A given ``vocab_fingerprint`` goes into the checkpoint snapshot as ``vocab_sha256``."""
     params = model.params.parameters()
     optimizer = Adam(params, lr=config.lr)
     snapshot = {**model.config_dict(), "run": config.to_dict()}
+    if vocab_fingerprint is not None:
+        snapshot["vocab_sha256"] = vocab_fingerprint
     best_path = final_path = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

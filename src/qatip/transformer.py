@@ -15,7 +15,7 @@ masked out of every attention softmax, so padding never shifts a logit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .attention import (
     sinusoidal_positions,
 )
 from .config import VARIANTS
+from .seq2seq import Seq2Seq
 from .tensor import ParamStore, Tensor
 
 
@@ -102,16 +103,13 @@ class _DecoderLayer(_Block):
         self.ln3_b = store.zeros(f"{prefix}.ln3.bias", (d,))
 
 
-class QaTransformerModel:
+class QaTransformerModel(Seq2Seq):
     family = "transformer"
     Config = TransformerConfig
 
     def __init__(self, config: TransformerConfig, seed: int = 0, dtype=np.float32):
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self._drop_rng = np.random.default_rng(seed + 1)
-        store = ParamStore(rng, dtype=dtype)
+        super().__init__(config, seed, dtype)
+        store = self.params
         cfg = config
         d = cfg.model_dim
 
@@ -135,19 +133,8 @@ class QaTransformerModel:
         self.w_enc = store.glorot("fuse.w_enc", (2 * d, d)) if cfg.variant in ("qa_enc", "both") else None
         self.w_dec = store.glorot("fuse.w_dec", (2 * d, d)) if cfg.variant in ("qa_dec", "both") else None
         self.w_out = None if cfg.tie_output else store.glorot("w_out", (cfg.vocab_size, d))
-        self.params = store
-
-    def config_dict(self) -> dict:
-        out = asdict(self.config)
-        out["family"] = self.family
-        return out
 
     # ----- building blocks
-
-    def _dropout(self, x: Tensor, train: bool) -> Tensor:
-        if train and self.config.dropout > 0.0:
-            return T.dropout(x, self.config.dropout, rng=self._drop_rng)
-        return x
 
     def _embed(self, ids: np.ndarray, train: bool, offset: int = 0) -> Tensor:
         """Scaled embeddings plus the position rows ``offset .. offset + width``."""
@@ -181,8 +168,8 @@ class QaTransformerModel:
             h = self._run_block(blk, h, e_q, kv_mask, train)
         return h
 
-    def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False):
-        """Returns (memory, review_mask, h_q_for_decoder or None)."""
+    def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False) -> dict:
+        """Decoding context: cross-attention memory ``kv`` and the ``review_mask``."""
         cfg = self.config
         review_ids = np.asarray(review_ids, dtype=np.int64)
         review_mask = length_mask(review_lengths, review_ids.shape[1])
@@ -206,19 +193,12 @@ class QaTransformerModel:
         for blk in self.enc_layers:
             memory = self._run_block(blk, memory, memory, review_mask[:, None, :], train)
 
-        h_q_dec = None
         if cfg.variant in ("qa_dec", "both"):
             if self.query_blocks_dec:
                 e_q = self._embed(q_ids, train)
-                h_q_dec = self._query_summary(self.query_blocks_dec, e_r, e_q, q_mask, train)
-            else:
-                h_q_dec = h_q
-        return memory, review_mask, h_q_dec
-
-    def decoder_memory(self, memory: Tensor, h_q_dec: Tensor | None) -> Tensor:
-        if self.config.variant in ("qa_dec", "both"):
-            return fuse(h_q_dec, memory, self.w_dec)
-        return memory
+                h_q = self._query_summary(self.query_blocks_dec, e_r, e_q, q_mask, train)
+            memory = fuse(h_q, memory, self.w_dec)
+        return {"kv": memory, "review_mask": review_mask}
 
     # ----- decoder side
 
@@ -235,47 +215,20 @@ class QaTransformerModel:
         proj = self.emb if self.w_out is None else self.w_out
         return T.matmul(x, T.transpose(proj))
 
-    def decode_logits(self, kv: Tensor, review_mask: np.ndarray, tip_input: np.ndarray,
-                      train: bool = False) -> Tensor:
+    def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
         tip_input = np.asarray(tip_input, dtype=np.int64)
         x = self._embed(tip_input, train)
         self_mask = causal_mask(tip_input.shape[1])[None]
         for blk in self.dec_layers:
-            x = self._decoder_layer(blk, x, x, self_mask, kv, review_mask, train)
+            x = self._decoder_layer(blk, x, x, self_mask, ctx["kv"], ctx["review_mask"], train)
         return self._output_logits(x)
 
-    def forward(self, batch, train: bool = False) -> Tensor:
-        memory, review_mask, h_q_dec = self.encode(
-            batch.review, batch.review_lengths, batch.query, batch.query_lengths, train)
-        kv = self.decoder_memory(memory, h_q_dec)
-        return self.decode_logits(kv, review_mask, batch.tip_input, train)
-
-    def forward_loss(self, batch, train: bool = True) -> Tensor:
-        logits = self.forward(batch, train=train)
-        mask = length_mask(batch.tip_lengths, batch.tip_target.shape[1])
-        return T.nll_loss(logits, batch.tip_target, pad_mask=mask)
-
     # ----- decoding protocol
-
-    def prepare(self, review_ids, query_ids) -> dict:
-        review = np.asarray([list(review_ids)], dtype=np.int64)
-        query = np.asarray([list(query_ids)], dtype=np.int64)
-        with T.no_grad():
-            memory, review_mask, h_q_dec = self.encode(
-                review, np.array([review.shape[1]]), query, np.array([query.shape[1]]), train=False)
-            kv = self.decoder_memory(memory, h_q_dec)
-        return {"kv": kv, "review_mask": review_mask}
 
     @property
     def max_prefix_len(self) -> int:
         """Longest BOS-prefixed tip the position table can decode from."""
         return self.config.max_len
-
-    def step_logits(self, ctx: dict, prefix_ids) -> np.ndarray:
-        tip = np.asarray([list(prefix_ids)], dtype=np.int64)
-        with T.no_grad():
-            logits = self.decode_logits(ctx["kv"], ctx["review_mask"], tip, train=False)
-        return logits.data[0, -1].astype(np.float64)
 
     def start(self, ctx: dict) -> list:
         """Decoder state before the first token: no positions cached in any layer."""

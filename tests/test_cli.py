@@ -145,6 +145,26 @@ def test_generate_vocab_mismatch(workdir, capsys, tmp_path):
     assert "5 tokens" in err["message"] and "expects" in err["message"]
 
 
+def test_generate_rejects_same_size_vocab_with_other_tokens(workdir, capsys, tmp_path):
+    from qatip.checkpoint import load_checkpoint, save_checkpoint
+    from qatip.corpus import Vocabulary
+
+    tokens = Vocabulary.load(workdir["vocab"]).id_to_token
+    permuted = str(tmp_path / "permuted.txt")
+    Vocabulary(tokens[:4] + tokens[5:] + tokens[4:5]).save(permuted)
+    common = ["--vocab", permuted, "--data", workdir["data"], "--out", str(tmp_path / "x.jsonl")]
+    assert main(["generate", "--checkpoint", workdir["checkpoint"]] + common) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError" and "token list" in err["message"]
+
+    # a checkpoint without the fingerprint keeps the size-only check
+    model, snapshot = load_checkpoint(workdir["checkpoint"])
+    del snapshot["vocab_sha256"]
+    unmarked = str(tmp_path / "unmarked.qtip")
+    save_checkpoint(model, snapshot, unmarked)
+    assert main(["generate", "--checkpoint", unmarked] + common) == 0
+
+
 def train_variant(workdir, tmp_path, **changes):
     """A zero-epoch checkpoint of the shared config with ``changes`` applied."""
     config = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
@@ -227,6 +247,17 @@ def test_evaluate_misaligned_counts(workdir, capsys, tmp_path):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "1 generated records" in err["message"]
+
+
+def test_evaluate_rejects_non_string_tip_with_its_line(workdir, capsys, tmp_path):
+    hyp = str(tmp_path / "null.jsonl")
+    rows = [{"id": r["id"], "tip": r["tip"]} for r in workdir["records"]]
+    rows[1]["tip"] = None
+    write_jsonl(rows, hyp)
+    assert main(["evaluate", "--hyp", hyp, "--ref", workdir["data"]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    assert err["message"] == f"{hyp} line 2: tip must be a string, got null"
 
 
 def test_baseline_query_lead_hand_picks(capsys, tmp_path):

@@ -123,3 +123,17 @@ def test_unknown_tokenize_mode_rejected():
     with pytest.raises(ConfigError, match="tokenize_mode must be one of"):
         run_config_from_dict({"tokenize_mode": "chars"})
     assert run_config_from_dict({"tokenize_mode": "char"}).tokenize_mode == "char"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+    ("dropout", -0.5), ("dropout", 1.0), ("beam_width", 0),
+])
+def test_training_and_decoding_settings_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        run_config_from_dict({key: value})
+
+
+def test_settings_at_their_bounds_accepted():
+    config = run_config_from_dict({"grad_clip": 1e-6, "dropout": 0.0, "beam_width": 1})
+    assert (config.grad_clip, config.dropout, config.beam_width) == (1e-6, 0.0, 1)

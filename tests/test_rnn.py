@@ -240,14 +240,12 @@ def test_zeroed_output_projection_gives_log_vocab_loss():
 def test_pad_append_leaves_logits_unchanged():
     model = tiny_model("both", seed=19)
     base = single_batch((4, 5, 6), (7, 8), (5, 7))
-    h_tilde, mask, h_q, s0, c0 = model.encode(base.review, base.review_lengths,
-                                              base.query, base.query_lengths)
-    out1 = model.decode_logits(h_tilde, mask, h_q, s0, c0, base.tip_input).data
+    ctx = model.encode(base.review, base.review_lengths, base.query, base.query_lengths)
+    out1 = model.decode_logits(ctx, base.tip_input).data
 
     review_p = np.array([[4, 5, 6, 0, 0]])
     query_p = np.array([[7, 8, 0]])
-    h_tilde, mask, h_q, s0, c0 = model.encode(review_p, [3], query_p, [2])
-    out2 = model.decode_logits(h_tilde, mask, h_q, s0, c0, base.tip_input).data
+    out2 = model.decode_logits(model.encode(review_p, [3], query_p, [2]), base.tip_input).data
     assert np.abs(out1 - out2).max() < 1e-9
 
 

@@ -33,10 +33,9 @@ def make_test_batch(seed=0, vocab=13):
 def logits_for(model, review, query, tip):
     review = np.asarray(review)
     query = np.asarray(query)
-    memory, mask, h_q = model.encode(review, [review.shape[1]] * review.shape[0],
-                                     query, [query.shape[1]] * query.shape[0])
-    kv = model.decoder_memory(memory, h_q)
-    return model.decode_logits(kv, mask, np.asarray(tip)).data
+    ctx = model.encode(review, [review.shape[1]] * review.shape[0],
+                       query, [query.shape[1]] * query.shape[0])
+    return model.decode_logits(ctx, np.asarray(tip)).data
 
 
 def test_fuse_selects_halves():
@@ -100,13 +99,11 @@ def test_pad_append_leaves_logits_unchanged():
     review = np.array([[4, 5, 6]])
     query = np.array([[7, 8]])
     tip = np.array([[1, 9]])
-    memory1, mask1, hq1 = model.encode(review, [3], query, [2])
-    out1 = model.decode_logits(model.decoder_memory(memory1, hq1), mask1, tip).data
+    out1 = model.decode_logits(model.encode(review, [3], query, [2]), tip).data
 
     review_p = np.array([[4, 5, 6, 0, 0]])
     query_p = np.array([[7, 8, 0]])
-    memory2, mask2, hq2 = model.encode(review_p, [3], query_p, [2])
-    out2 = model.decode_logits(model.decoder_memory(memory2, hq2), mask2, tip).data
+    out2 = model.decode_logits(model.encode(review_p, [3], query_p, [2]), tip).data
     assert np.abs(out1 - out2).max() <= 1e-5
 
 
@@ -116,8 +113,7 @@ def test_all_pad_query_uses_pad_embedding():
     tip = np.array([[1, 6]])
 
     def run(query, qlen):
-        memory, mask, hq = model.encode(review, [2], np.asarray(query), [qlen])
-        return model.decode_logits(model.decoder_memory(memory, hq), mask, tip).data
+        return model.decode_logits(model.encode(review, [2], np.asarray(query), [qlen]), tip).data
 
     out = run([[0, 0]], 0)  # declared empty, falls back to the PAD embedding
     assert np.all(np.isfinite(out))
@@ -135,10 +131,9 @@ def test_shapes_across_variants():
     batch = make_test_batch()
     for variant in ("vanilla", "qa_enc", "qa_dec", "both"):
         model = QaTransformerModel(tiny_config(variant), seed=9)
-        memory, mask, hq = model.encode(batch.review, batch.review_lengths,
-                                        batch.query, batch.query_lengths)
-        assert memory.shape == (2, batch.review.shape[1], 8)
-        logits = model.decode_logits(model.decoder_memory(memory, hq), mask, batch.tip_input)
+        ctx = model.encode(batch.review, batch.review_lengths, batch.query, batch.query_lengths)
+        assert ctx["kv"].shape == (2, batch.review.shape[1], 8)
+        logits = model.decode_logits(ctx, batch.tip_input)
         assert logits.shape == (2, batch.tip_input.shape[1], 13)
 
 
