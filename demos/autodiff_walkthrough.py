@@ -35,6 +35,13 @@ first = w.grad.copy()
 backward(mean_all(sigmoid(matmul(x, w))))
 print("second backward doubles the grad:", np.allclose(w.grad, 2 * first))
 
+# the sweep releases the graph, so the same loss cannot be swept twice
+try:
+    backward(loss)
+except RuntimeError as err:
+    print("second backward on the same loss:", err)
+print("grad untouched by the refused sweep:", np.allclose(w.grad, 2 * first))
+
 # inside no_grad nothing records a tape
 with no_grad():
     silent = mean_all(sigmoid(matmul(x, w)))

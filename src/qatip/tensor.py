@@ -4,8 +4,12 @@ A thin tape over numpy arrays: every op returns a new :class:`Tensor` and,
 when gradients are enabled and any input requires them, records a backward
 closure.  :func:`backward` walks the tape once in reverse-topological order
 and accumulates ``d loss / d tensor`` into every reachable ``requires_grad``
-tensor (the caller zeroes grads between steps).  Forward data is never
-mutated by the backward pass.
+tensor (the caller zeroes grads between steps).  The sweep releases the
+graph as it goes: each node it passes drops its parents and its closure, so
+activations and gradient copies are freed at once, and only the nodes the
+caller still holds (parameters, a kept intermediate) keep their ``.grad``.
+A swept graph cannot be swept again.  Forward data is never mutated by the
+backward pass.
 
 32-bit floats are the training default; gradient checking runs the same ops
 in 64-bit.
@@ -106,11 +110,24 @@ def _check_same_dtype(*tensors):
         raise TypeError(f"mixed tensor dtypes: {sorted(d.name for d in dtypes)}")
 
 
+_SWEPT = "backward reached a graph that was already swept; rebuild the loss with a fresh forward pass"
+
+
+def _released(g):
+    """Stands in for the closure of a node the backward sweep has passed."""
+    raise RuntimeError(_SWEPT)
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Each tape node is visited exactly once; gradients are accumulated into
-    ``.grad`` slots, so a second call without zeroing doubles them.
+    ``.grad`` slots, so a freshly built loss swept without zeroing first
+    adds to the gradients already there.  The sweep releases each node it
+    passes: its parents and closure are dropped, so only the nodes the
+    caller holds keep their ``.grad``.  Reaching a released node (a second
+    ``backward`` on the same loss, or a loss built on a swept intermediate)
+    raises ``RuntimeError`` before any gradient changes.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar tensor, got shape {loss.data.shape}")
@@ -127,24 +144,33 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _released:
+            raise RuntimeError(_SWEPT)
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
+    # every pending key's node is still held by ``topo``, so no id is reused
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flowing.pop(id(node), None)
+        node_backward = node._backward
+        if node_backward is not None:
+            # past this step nothing in the graph refers to ``node``: release what it saved
+            node._parents = ()
+            node._backward = _released
         if g is None:
             continue
         if node.grad is None:
             node.grad = np.array(g, dtype=node.data.dtype, copy=True)
         else:
             node.grad += g
-        if node._backward is None:
+        if node_backward is None:
             continue
-        for parent, pg in node._backward(g):
+        for parent, pg in node_backward(g):
             key = id(parent)
             if key in flowing:
                 flowing[key] = flowing[key] + pg

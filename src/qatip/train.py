@@ -26,6 +26,10 @@ class EpochStats:
     train_loss: float
     valid_loss: float
     seconds: float
+    steps: int
+    tokens_per_s: float  # target tip tokens the loss counted, per training second
+    grad_norm_mean: float  # pre-clip global gradient norm over the epoch's steps
+    grad_norm_max: float
 
     def record(self) -> str:
         return json.dumps(
@@ -34,6 +38,10 @@ class EpochStats:
                 "train_loss": round(self.train_loss, 6),
                 "valid_loss": round(self.valid_loss, 6),
                 "seconds": round(self.seconds, 3),
+                "steps": self.steps,
+                "tokens_per_s": round(self.tokens_per_s, 1),
+                "grad_norm_mean": round(self.grad_norm_mean, 6),
+                "grad_norm_max": round(self.grad_norm_max, 6),
             }
         )
 
@@ -90,6 +98,8 @@ def train_model(
         )
         total = 0.0
         count = 0
+        tokens = 0
+        norms = []
         for index, batch in enumerate(batches):
             optimizer.zero_grad()
             loss = model.forward_loss(batch, train=True)
@@ -104,11 +114,18 @@ def train_model(
             optimizer.step()
             total += value * batch.size
             count += batch.size
+            tokens += int(batch.tip_lengths.sum())
+            norms.append(norm)
+        train_seconds = time.perf_counter() - started
         stats = EpochStats(
             epoch=epoch,
             train_loss=total / max(1, count),
             valid_loss=mean_loss(model, valid_batches),
             seconds=time.perf_counter() - started,
+            steps=len(norms),
+            tokens_per_s=tokens / train_seconds,
+            grad_norm_mean=sum(norms) / max(1, len(norms)),
+            grad_norm_max=max(norms, default=0.0),
         )
         history.append(stats)
         if log is not None:

@@ -68,7 +68,8 @@ def test_train_logs_epoch_records(workdir, capsys, tmp_path):
     epochs = [json.loads(l) for l in lines[:-1]]
     assert [e["epoch"] for e in epochs] == [0, 1]
     for e in epochs:
-        assert set(e) == {"epoch", "train_loss", "valid_loss", "seconds"}
+        assert set(e) == {"epoch", "train_loss", "valid_loss", "seconds", "steps",
+                          "tokens_per_s", "grad_norm_mean", "grad_norm_max"}
     tail = json.loads(lines[-1])
     assert os.path.exists(tail["final_checkpoint"])
     assert os.path.exists(tail["best_checkpoint"])

@@ -1,11 +1,16 @@
 """Autodiff engine, optimizer, and gradient-check harness tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from qatip import tensor as T
+from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import finite_difference, rel_error, run_op_checks
 from qatip.optim import Adam, clip_global_norm
+from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.tensor import ParamStore, Tensor, backward, no_grad
 
 
@@ -191,6 +196,60 @@ def test_intermediate_tensors_receive_grads():
     backward(loss)
     assert h.grad is not None
     assert np.allclose(h.grad, 1.0)
+
+
+def test_second_backward_on_same_loss_raises():
+    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    loss = T.mean_all(T.mul(T.tanh(x), T.tanh(x)))
+    backward(loss)
+    once = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already swept.*rebuild the loss"):
+        backward(loss)
+    assert np.array_equal(x.grad, once)
+    assert loss.grad == 1.0
+
+
+def test_loss_on_swept_intermediate_raises():
+    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    h = T.tanh(x)
+    backward(T.sum_all(T.mul(h, h)))
+    once, h_once = x.grad.copy(), h.grad.copy()
+    with pytest.raises(RuntimeError, match="already swept.*rebuild the loss"):
+        backward(T.add(T.sum_all(h), T.sum_all(x)))
+    assert np.array_equal(x.grad, once)
+    assert np.array_equal(h.grad, h_once)
+
+
+def test_backward_frees_intermediates_the_caller_dropped():
+    x = Tensor(np.random.default_rng(0).standard_normal((8, 8)), requires_grad=True)
+    h = T.tanh(x)
+    activation = weakref.ref(h.data)
+    loss = T.sum_all(T.mul(h, h))
+    del h
+    assert activation() is not None  # the graph still holds it
+    backward(loss)
+    assert activation() is None
+
+
+def _live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_backward_leaves_only_parameters_and_loss_alive():
+    model = QaRnnModel(RnnConfig(vocab_size=12, emb_dim=6, hidden_dim=5, variant="both"), seed=0)
+    rng = np.random.default_rng(1)
+    batch = make_batch([
+        Triplet(tuple(rng.integers(3, 12, 7)), tuple(rng.integers(3, 12, 2)),
+                (1,) + tuple(rng.integers(3, 12, 4)) + (2,), "", "", "", str(i))
+        for i in range(3)
+    ])
+    gc.collect()
+    before = _live_tensors()  # the parameters and whatever else the session holds
+    loss = model.forward_loss(batch, train=True)
+    assert _live_tensors() > before + 100  # the tape
+    backward(loss)
+    assert _live_tensors() <= before + 3
+    assert all(p.tensor.grad is not None for p in model.params.parameters())
 
 
 def test_dropout_identity_at_zero_rate():

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from qatip import train
 from qatip.checkpoint import load_checkpoint
 from qatip.config import RunConfig, model_config_from_run
-from qatip.corpus import Vocabulary, encode_records, vocab_from_records
+from qatip.corpus import Vocabulary, encode_records, make_batches, vocab_from_records
+from qatip.optim import clip_global_norm
 from qatip.rnn import QaRnnModel
 from qatip.synthetic import overfit_corpus
 from qatip.train import EpochStats, mean_loss, train_model
@@ -95,9 +98,33 @@ def test_best_checkpoint_tracks_valid_loss(tmp_path):
 
 
 def test_epoch_record_format():
-    stats = EpochStats(epoch=3, train_loss=1.25, valid_loss=1.5, seconds=0.75)
+    stats = EpochStats(epoch=3, train_loss=1.25, valid_loss=1.5, seconds=0.75, steps=4,
+                       tokens_per_s=1234.5, grad_norm_mean=2.5, grad_norm_max=6.0)
     rec = json.loads(stats.record())
-    assert rec == {"epoch": 3, "train_loss": 1.25, "valid_loss": 1.5, "seconds": 0.75}
+    assert rec == {"epoch": 3, "train_loss": 1.25, "valid_loss": 1.5, "seconds": 0.75, "steps": 4,
+                   "tokens_per_s": 1234.5, "grad_norm_mean": 2.5, "grad_norm_max": 6.0}
+
+
+def test_epoch_records_count_steps_tokens_and_grad_norms(monkeypatch):
+    model, triplets, config, _ = tiny_setup(epochs=2)
+    norms = []
+
+    def clip(params, max_norm):
+        norms.append(clip_global_norm(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train, "clip_global_norm", clip)
+    result = train_model(model, triplets, triplets, config)
+    tokens = sum(len(t.tip_ids) - 1 for t in triplets)  # targets: tip after BOS, EOS included
+    assert tokens == sum(int(b.tip_lengths.sum()) for b in make_batches(triplets, config.batch_size))
+    steps = -(-len(triplets) // config.batch_size)
+    for epoch, stats in enumerate(result.history):
+        mine = norms[epoch * steps : (epoch + 1) * steps]
+        assert stats.steps == steps
+        assert stats.grad_norm_mean == pytest.approx(sum(mine) / steps, rel=1e-12)
+        assert stats.grad_norm_max == max(mine)
+        # training time excludes the validation pass that ``seconds`` includes
+        assert tokens / stats.seconds <= stats.tokens_per_s < math.inf
 
 
 def test_mean_loss_matches_manual():
