@@ -146,6 +146,15 @@ def load_checkpoint(path: str):
     header, payload = _parse_header(blob)
     manifest = header["manifest"]
     _validate_manifest(manifest, len(payload))
+    # float32 values cannot overflow a float64 sum, so it is finite exactly when every value
+    # is; the sum needs no payload-sized temporary, and the parameter is located only on failure
+    with np.errstate(invalid="ignore"):  # inf + -inf is nan, which the check wants
+        total = np.frombuffer(payload, dtype="<f4").sum(dtype=np.float64)
+    if not np.isfinite(total):
+        for entry in manifest:
+            raw = payload[entry["offset"] : entry["offset"] + entry["len"]]
+            if not np.isfinite(np.frombuffer(raw, dtype="<f4")).all():
+                raise CheckpointError(f"parameter {entry['name']}: non-finite values")
     model = model_from_config(header["config"])
     want = {p.name: p.tensor for p in model.params.parameters()}
     seen = set()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -62,19 +63,24 @@ class RunConfig:
             raise ConfigError(
                 f"tokenize_mode must be one of {TOKENIZE_MODES}, got {self.tokenize_mode!r}"
             )
-        for key in ("review_max_len", "query_max_len", "tip_max_len", "batch_size"):
+        for key in ("review_max_len", "query_max_len", "tip_max_len", "batch_size", "model_dim",
+                    "num_heads", "num_layers", "emb_dim", "hidden_dim", "query_block_depth"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if self.ffn_dim < 0:
+            raise ConfigError(f"ffn_dim must be >= 0, got {self.ffn_dim}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not self.grad_clip > 0:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.beam_width < 1:
             raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
+        if not math.isfinite(self.length_alpha):
+            raise ConfigError(f"length_alpha must be finite, got {self.length_alpha}")
         if check_paths:
             for key in ("data", "vocab"):
                 path = getattr(self, key)

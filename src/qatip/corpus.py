@@ -68,7 +68,8 @@ class Vocabulary:
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("vocabulary contains duplicate tokens")
+            dup = next(t for i, t in enumerate(tokens) if self.token_to_id[t] != i)
+            raise ValueError(f"vocabulary contains duplicate token {dup!r}")
 
     @property
     def size(self) -> int:
@@ -100,7 +101,10 @@ class Vocabulary:
             raise DatasetError(
                 f"{path}: vocabulary file must begin with {', '.join(RESERVED_TOKENS)}"
             )
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
 
 
 def build_vocab(
@@ -212,8 +216,13 @@ def load_jsonl(path, inference: bool = False) -> list[dict]:
     ``inference=True``.  The optional string field ``id`` is passed through.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes come through as lone surrogates, so the line holding them is known
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"line {lineno}: invalid UTF-8 at character {exc.start + 1}") from None
             if not line.strip():
                 continue
             try:

@@ -2,13 +2,11 @@
 
 A model provides ``prepare(review_ids, query_ids) -> ctx`` and
 ``step_logits(ctx, prefix_ids) -> (V,) ndarray``, which recomputes the
-next-token logits from the full prefix.  Greedy decoding and rescoring use
-only that.  Beam search also uses the incremental protocol when a model has
-it: ``start(ctx) -> state`` and ``advance(ctx, state, parents, tokens) ->
-(logits (R, V), state)``, where ``parents`` picks the state row each of the
-R live hypotheses extends and ``tokens`` are their last tokens, so one call
-scores every live hypothesis of a step.  A model without ``advance`` gets
-its rows from ``step_logits`` per live prefix; both feed one selection.
+next-token logits from the full prefix; greedy decoding and rescoring use
+that.  Beam search steps incrementally: ``start(ctx) -> state`` and
+``advance(ctx, state, parents, tokens) -> (logits (R, V), state)``, where
+``parents`` picks the state row each of the R live hypotheses extends and
+``tokens`` are their last tokens, so one call scores a whole step.
 
 Scoring conventions (mirrored exactly by the test oracles):
   - per-step distribution = log-softmax over logits after masking banned
@@ -126,22 +124,17 @@ def beam_search(model, review_ids, query_ids, config: BeamConfig) -> list[Hypoth
     """Width-limited best-first expansion with a finished pool.
 
     Every live hypothesis is expanded over the full vocabulary each step,
-    with one model call for all of them when the model has ``advance``;
-    the top ``width`` candidates survive, finished ones retiring to the
-    pool.  Returns the pool ranked best-first.
+    with one model call for all of them; the top ``width`` candidates
+    survive, finished ones retiring to the pool.  Returns the pool ranked
+    best-first.
     """
     ctx = model.prepare(review_ids, query_ids)
-    incremental = hasattr(model, "advance")
-    state = model.start(ctx) if incremental else None
+    state = model.start(ctx)
     live = [Hypothesis(ids=(BOS_ID,), log_prob=0.0, finished=False)]
     parents = [0]
     pool: list[Hypothesis] = []
     while live:
-        if incremental:
-            logits, state = model.advance(ctx, state, parents, [h.ids[-1] for h in live])
-        else:
-            logits = np.stack([np.asarray(model.step_logits(ctx, h.ids), dtype=np.float64)
-                               for h in live])
+        logits, state = model.advance(ctx, state, parents, [h.ids[-1] for h in live])
         log_probs = masked_log_softmax(logits, config.ban_tokens)
         if np.isnan(log_probs).any():
             raise ValueError(f"NaN in next-token log-probabilities after {len(live[0].ids) - 1} tokens")
@@ -181,7 +174,7 @@ def batch_generate(model, triplets, config: BeamConfig, vocab: Vocabulary,
 
     A ``max_len`` the model cannot reach is rejected before any record.
     """
-    limit = getattr(model, "max_prefix_len", None)
+    limit = model.max_prefix_len
     if limit is not None and config.max_len > limit:
         raise ValueError(f"beam max_len {config.max_len} exceeds the model's position table "
                          f"of {limit} positions")

@@ -232,21 +232,15 @@ class QaRnnModel(Seq2Seq):
 
     # ----- decoding protocol
 
-    def start(self, ctx: dict) -> tuple:
-        """Decoder state before the first token: the start state (s0, c0)."""
-        return ctx["s0"], ctx["c0"]
+    def start(self, ctx: dict) -> list:
+        """Decoder state before the first token: the start state [s0, c0]."""
+        return [ctx["s0"], ctx["c0"]]
 
-    def advance(self, ctx: dict, state: tuple, parents, tokens):
-        """Next-token logits (R, V) after feeding ``tokens`` to the states ``parents``."""
-        parents = np.asarray(parents, dtype=np.int64)
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-        r = len(parents)
+    def _step(self, ctx: dict, rows: list, tokens: np.ndarray):
+        r = len(tokens)
         h_tilde, mask, h_q = ctx["h_tilde"], ctx["mask"], ctx["h_q"]
-        with T.no_grad():
-            h_tilde = T.broadcast_to(h_tilde, (r,) + h_tilde.shape[1:])
-            if h_q is not None:
-                h_q = T.broadcast_to(h_q, (r,) + h_q.shape[1:])
-            mask = np.broadcast_to(mask, (r,) + mask.shape[1:])
-            s, c = (Tensor(x.data[parents]) for x in state)
-            logits, s, c = self._decoder_step(h_tilde, mask, h_q, self._embed(tokens, False), 0, s, c)
-        return logits.data.astype(np.float64), (s, c)
+        h_tilde = T.broadcast_to(h_tilde, (r,) + h_tilde.shape[1:])
+        if h_q is not None:
+            h_q = T.broadcast_to(h_q, (r,) + h_q.shape[1:])
+        logits, s, c = self._decoder_step(h_tilde, mask, h_q, self._embed(tokens, False), 0, *rows)
+        return logits, [s, c]

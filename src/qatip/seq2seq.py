@@ -4,7 +4,9 @@ A family sets ``family`` and ``Config`` and defines ``encode(review,
 review_lengths, query, query_lengths, train)``, which returns the decoding
 context dict, and ``decode_logits(ctx, tip_input, train)``, which reads it
 with teacher forcing and returns logits (B, M, V).  Training, scoring and
-prefix decoding are written once here on top of those two methods.
+prefix decoding are written once here on top of those two methods, and
+beam search's ``advance`` on the family's ``start(ctx)``, a list of state
+tensors with one row per hypothesis, and ``_step(ctx, rows, tokens)``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .tensor import ParamStore, Tensor
 
 
 class Seq2Seq:
+    max_prefix_len = None  # no position table bounds the decoded length
+
     def __init__(self, config, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
@@ -54,3 +58,11 @@ class Seq2Seq:
         with T.no_grad():
             logits = self.decode_logits(ctx, np.asarray([list(prefix_ids)], dtype=np.int64))
         return logits.data[0, -1].astype(np.float64)
+
+    def advance(self, ctx: dict, state: list, parents, tokens):
+        """Next-token logits (R, V) after feeding ``tokens`` to the state rows ``parents``."""
+        parents = np.asarray(parents, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        with T.no_grad():
+            logits, state = self._step(ctx, [Tensor(x.data[parents]) for x in state], tokens)
+        return logits.data.reshape(len(parents), -1).astype(np.float64), state

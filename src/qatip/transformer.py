@@ -53,6 +53,8 @@ class TransformerConfig:
             self.ffn_dim = 4 * self.model_dim
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if self.query_block_depth < 1:
+            raise ValueError("query_block_depth must be >= 1")
         if self.ffn_dim < self.model_dim:
             raise ValueError("ffn_dim must be >= model_dim")
         if self.variant not in VARIANTS:
@@ -235,22 +237,18 @@ class QaTransformerModel(Seq2Seq):
         empty = Tensor(np.zeros((1, 0, self.config.model_dim), dtype=self.dtype))
         return [empty] * len(self.dec_layers)
 
-    def advance(self, ctx: dict, state: list, parents, tokens):
-        """Next-token logits (R, V) after appending ``tokens`` to the rows ``parents``.
+    def _step(self, ctx: dict, rows: list, tokens: np.ndarray):
+        """Logits (R, 1, V) of each row's next position and the grown per-layer state.
 
         The state holds each decoder layer's self-attention inputs (R, t, d)
         for the t positions seen.  Decoding is causal, so those rows never
         change: only the new position runs through the layers, attending
         over the cached rows plus itself.
         """
-        parents = np.asarray(parents, dtype=np.int64)
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        x = self._embed(tokens, train=False, offset=rows[0].shape[1])
         cached = []
-        with T.no_grad():
-            x = self._embed(tokens, train=False, offset=state[0].shape[1])
-            for blk, seen in zip(self.dec_layers, state):
-                keys = T.concat([Tensor(seen.data[parents]), x], axis=1)
-                cached.append(keys)
-                x = self._decoder_layer(blk, x, keys, None, ctx["kv"], ctx["review_mask"], train=False)
-            logits = self._output_logits(x)
-        return logits.data[:, -1].astype(np.float64), cached
+        for blk, seen in zip(self.dec_layers, rows):
+            keys = T.concat([seen, x], axis=1)
+            cached.append(keys)
+            x = self._decoder_layer(blk, x, keys, None, ctx["kv"], ctx["review_mask"], train=False)
+        return self._output_logits(x), cached

@@ -15,7 +15,13 @@ BOS, EOS, UNK = 1, 2, 3
 
 
 class TableModel:
-    """step_logits looked up per prefix; rows are deterministic per (seed, prefix)."""
+    """step_logits looked up per prefix; rows are deterministic per (seed, prefix).
+
+    Its incremental state is the live prefixes, and ``advance`` takes each
+    row from ``self.step_logits``, so a test may patch that on an instance.
+    """
+
+    max_prefix_len = None
 
     def __init__(self, vocab_size=5, seed=0, table=None):
         self.vocab_size = vocab_size
@@ -37,6 +43,14 @@ class TableModel:
             return np.asarray(self.table[key], dtype=np.float64)
         return self._row(key)
 
+    def start(self, ctx):
+        return [()]
+
+    def advance(self, ctx, state, parents, tokens):
+        prefixes = [state[p] + (int(t),) for p, t in zip(parents, tokens)]
+        rows = [np.asarray(self.step_logits(ctx, prefix), dtype=np.float64) for prefix in prefixes]
+        return np.stack(rows), prefixes
+
 
 class FailingModel:
     """Raises on a designated review to exercise per-record error reporting."""
@@ -50,8 +64,18 @@ class FailingModel:
             raise RuntimeError("poisoned record")
         return self.inner.prepare(review_ids, query_ids)
 
+    @property
+    def max_prefix_len(self):
+        return self.inner.max_prefix_len
+
     def step_logits(self, ctx, prefix_ids):
         return self.inner.step_logits(ctx, prefix_ids)
+
+    def start(self, ctx):
+        return self.inner.start(ctx)
+
+    def advance(self, ctx, state, parents, tokens):
+        return self.inner.advance(ctx, state, parents, tokens)
 
 
 def _log_softmax_masked(logits, banned):

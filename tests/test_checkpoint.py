@@ -90,6 +90,16 @@ def test_payload_flip_loads_but_stays_byte_stable(tmp_path):
     assert open(flipped, "rb").read() != open(first, "rb").read()
 
 
+@pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (np.inf, -np.inf)])
+def test_non_finite_parameter_is_located(tmp_path, bad):
+    model = tiny_rnn()
+    model.emb.data[2, :2] = bad
+    path = save_path(tmp_path)
+    save_checkpoint(model, model.config_dict(), path)
+    with pytest.raises(CheckpointError, match=r"^parameter emb: non-finite values$"):
+        load_checkpoint(path)
+
+
 def test_header_flip_is_structured_error(tmp_path):
     model = tiny_rnn()
     path = save_path(tmp_path)

@@ -128,6 +128,9 @@ def test_unknown_tokenize_mode_rejected():
 @pytest.mark.parametrize("key, value", [
     ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
     ("dropout", -0.5), ("dropout", 1.0), ("beam_width", 0),
+    ("lr", float("nan")), ("lr", float("inf")), ("length_alpha", float("nan")),
+    ("length_alpha", float("inf")), ("model_dim", 0), ("num_heads", 0), ("num_layers", 0),
+    ("emb_dim", 0), ("hidden_dim", 0), ("query_block_depth", 0), ("ffn_dim", -1),
 ])
 def test_training_and_decoding_settings_rejected(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be"):

@@ -92,6 +92,12 @@ class TestVocab:
         with pytest.raises(DatasetError):
             Vocabulary.load(path)
 
+    def test_load_names_duplicate_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<bos>\n<eos>\n<unk>\ncake\ntea\ncake\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"vocab\.txt: vocabulary contains duplicate token 'cake'"):
+            Vocabulary.load(path)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             build_vocab([], min_freq=0)
@@ -150,6 +156,13 @@ class TestLoadJsonl:
             tmp_path, [json.dumps({"review": "r", "query": "q", "tip": "t"}), "{oops"]
         )
         with pytest.raises(DatasetError, match="line 2"):
+            load_jsonl(p)
+
+    def test_invalid_utf8_line_numbered(self, tmp_path):
+        p = tmp_path / "data.jsonl"
+        good = json.dumps({"review": "r", "query": "q", "tip": "t"}).encode("utf-8")
+        p.write_bytes(good + b"\n" + good.replace(b'"r"', b'"\xff"') + b"\n")
+        with pytest.raises(DatasetError, match="line 2: invalid UTF-8"):
             load_jsonl(p)
 
     def test_empty_review_rejected(self, tmp_path):

@@ -1,6 +1,9 @@
 """Autodiff engine, optimizer, and gradient-check harness tests."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -12,6 +15,8 @@ from qatip.gradcheck import finite_difference, rel_error, run_op_checks
 from qatip.optim import Adam, clip_global_norm
 from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.tensor import ParamStore, Tensor, backward, no_grad
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_sigmoid_at_zero():
@@ -370,3 +375,17 @@ def test_param_store_lstm_bias_layout():
     assert np.allclose(b.data[:4], 0.0)
     assert np.allclose(b.data[4:8], 1.0)
     assert np.allclose(b.data[8:], 0.0)
+
+
+def test_op_gradient_checks_reproduce_across_processes():
+    # string hashes are salted per process, so no check may seed from one
+    code = ("from qatip.gradcheck import run_op_checks; "
+            "print([(r.name, r.max_err.hex()) for r in run_op_checks(repeats=1, seed=4242)])")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -195,6 +195,12 @@ def test_invalid_variant_rejected():
         tiny_config("query_aware")
 
 
+def test_query_block_depth_below_one_rejected():
+    # at depth 0 a query-aware variant's logits would not depend on the query
+    with pytest.raises(ValueError, match="query_block_depth"):
+        tiny_config(query_block_depth=0)
+
+
 def test_parameter_gradients_match_finite_differences():
     cfg = TransformerConfig(vocab_size=7, model_dim=4, num_heads=1, num_layers=1,
                             ffn_dim=8, dropout=0.0, variant="both", max_len=16)
