@@ -102,18 +102,21 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, 1, 2), (b, n, h * hd))
 
 
-def multi_head(params: MultiHeadParams, query: Tensor, keys: Tensor, values: Tensor,
-               mask: np.ndarray | None = None):
-    """Multi-head attention over batched (B, len, d) inputs.
+def project_kv(params: MultiHeadParams, keys: Tensor, values: Tensor):
+    """Per-head keys and values (B, h, N, d/h) of batched (B, N, d) inputs."""
+    h = params.num_heads
+    return _split_heads(T.matmul(keys, params.wk), h), _split_heads(T.matmul(values, params.wv), h)
+
+
+def attend(params: MultiHeadParams, query: Tensor, k: Tensor, v: Tensor,
+           mask: np.ndarray | None = None):
+    """Multi-head attention of (B, A, d) queries over keys and values from ``project_kv``.
 
     mask broadcasts to (B, A, N) over query/key positions and applies
     identically to every head.  Returns (output (B, A, d), weights
     (B, h, A, N)).
     """
-    h = params.num_heads
-    q = _split_heads(T.matmul(query, params.wq), h)
-    k = _split_heads(T.matmul(keys, params.wk), h)
-    v = _split_heads(T.matmul(values, params.wv), h)
+    q = _split_heads(T.matmul(query, params.wq), params.num_heads)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         while mask.ndim < 3:
@@ -122,3 +125,9 @@ def multi_head(params: MultiHeadParams, query: Tensor, keys: Tensor, values: Ten
     context, weights = scaled_dot_attention(q, k, v, mask=mask)
     out = T.matmul(_merge_heads(context), params.wo)
     return out, weights
+
+
+def multi_head(params: MultiHeadParams, query: Tensor, keys: Tensor, values: Tensor,
+               mask: np.ndarray | None = None):
+    """Multi-head attention over batched (B, len, d) inputs: ``attend`` after ``project_kv``."""
+    return attend(params, query, *project_kv(params, keys, values), mask=mask)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .config import (
     ARCHES, TOKENIZE_MODES, VARIANTS, RunConfig, load_run_config, model_config_from_run,
@@ -176,14 +177,26 @@ def cmd_generate(args) -> int:
         alpha=run.length_alpha if args.alpha is None else args.alpha,
         ban_tokens=() if args.keep_unk else (UNK_ID,),
     )
+    start = time.perf_counter()
     try:
         results = batch_generate(model, triplets, beam, vocab, mode=mode)
     except ValueError as exc:  # settings no record can decode under
         raise CliError(str(exc)) from None
+    seconds = time.perf_counter() - start
     _write_records(
         [{"id": r.record_id, "tip": r.tip or ""} for r in results], args.out
     )
     errors = [r.error for r in results if r.error]
+    decoded = [r for r in results if not r.error]
+    summary = {
+        "records": len(results),
+        "failed": len(errors),
+        "seconds": seconds,
+        "records_per_s": len(results) / seconds,
+        "mean_steps": sum(r.steps for r in decoded) / len(decoded) if decoded else None,
+        "finish": {reason: sum(r.finish == reason for r in decoded) for reason in ("eos", "max_len")},
+    }
+    print(json.dumps(summary), file=sys.stderr)
     if errors:
         raise CliError(f"{len(errors)} records failed, first: {errors[0]}")
     return 0

@@ -95,8 +95,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        # undecodable bytes come through as lone surrogates, so the line holding them is known
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             tokens = fh.read().splitlines()
+        for lineno, token in enumerate(tokens, start=1):
+            try:
+                token.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetError(f"{path} line {lineno}: invalid UTF-8") from None
         if len(tokens) < 4 or tuple(tokens[:4]) != RESERVED_TOKENS:
             raise DatasetError(
                 f"{path}: vocabulary file must begin with {', '.join(RESERVED_TOKENS)}"
@@ -316,7 +322,8 @@ class Batch:
         return self.review.shape[0]
 
 
-def _pad_matrix(rows: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def pad_matrix(rows: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids (B, width), lengths): rows padded with PAD to at least one column."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     width = max(1, int(lengths.max()))
     mat = np.full((len(rows), width), PAD_ID, dtype=np.int64)
@@ -329,11 +336,11 @@ def make_batch(triplets: Sequence[Triplet]) -> Batch:
     for t in triplets:
         if len(t.tip_ids) < 2:
             raise DatasetError("cannot batch a triplet without an encoded tip")
-    review, review_lengths = _pad_matrix([t.review_ids for t in triplets])
-    query, query_lengths = _pad_matrix([t.query_ids for t in triplets])
+    review, review_lengths = pad_matrix([t.review_ids for t in triplets])
+    query, query_lengths = pad_matrix([t.query_ids for t in triplets])
     # tip_ids is [BOS, t1..tm, EOS]; input drops EOS, target drops BOS
-    tip_in, tip_lengths = _pad_matrix([t.tip_ids[:-1] for t in triplets])
-    tip_tgt, _ = _pad_matrix([t.tip_ids[1:] for t in triplets])
+    tip_in, tip_lengths = pad_matrix([t.tip_ids[:-1] for t in triplets])
+    tip_tgt, _ = pad_matrix([t.tip_ids[1:] for t in triplets])
     return Batch(
         review=review,
         review_lengths=review_lengths,

@@ -80,8 +80,13 @@ def load_embeddings(path: str) -> EmbeddingTable:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
+    # undecodable bytes come through as lone surrogates, so the line holding them is known
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"line {lineno}: invalid UTF-8") from None
             line = raw.strip()
             if not line:
                 continue

@@ -3,10 +3,12 @@
 A model provides ``prepare(review_ids, query_ids) -> ctx`` and
 ``step_logits(ctx, prefix_ids) -> (V,) ndarray``, which recomputes the
 next-token logits from the full prefix; greedy decoding and rescoring use
-that.  Beam search steps incrementally: ``start(ctx) -> state`` and
-``advance(ctx, state, parents, tokens) -> (logits (R, V), state)``, where
-``parents`` picks the state row each of the R live hypotheses extends and
-``tokens`` are their last tokens, so one call scores a whole step.
+that.  Beam search decodes several records at once and steps
+incrementally: ``prepare_batch(reviews, queries) -> ctx``, ``start(ctx) ->
+state`` with one row per record, and ``advance(ctx, state, parents, tokens)
+-> (logits (R, V), state)``, where ``parents`` picks the state row each of
+the R live hypotheses extends and ``tokens`` are their last tokens, so one
+call scores a whole step of every record.
 
 Scoring conventions (mirrored exactly by the test oracles):
   - per-step distribution = log-softmax over logits after masking banned
@@ -120,6 +122,44 @@ def top_candidates(live: list[Hypothesis], log_probs: np.ndarray, config: BeamCo
     return out[: config.width]
 
 
+def beam_search_batch(model, reviews, queries, config: BeamConfig) -> list[tuple[list[Hypothesis], int]]:
+    """Beam search of several records at once: (ranked pool, steps taken) per record.
+
+    Each step makes one model call for the live hypotheses of all records.
+    Every record keeps its own live list and finished pool, and selects its
+    survivors from its own rows, so it decodes exactly as it would alone.
+    """
+    ctx = model.prepare_batch(reviews, queries)
+    state = model.start(ctx)
+    lives = [[Hypothesis(ids=(BOS_ID,), log_prob=0.0, finished=False)] for _ in reviews]
+    parents = list(range(len(reviews)))  # record r starts from state row r
+    pools: list[list[Hypothesis]] = [[] for _ in reviews]
+    steps = [0] * len(reviews)
+    step = 0
+    while parents:
+        tokens = [h.ids[-1] for live in lives for h in live]
+        logits, state = model.advance(ctx, state, parents, tokens)
+        log_probs = masked_log_softmax(logits, config.ban_tokens)
+        if np.isnan(log_probs).any():
+            raise ValueError(f"NaN in next-token log-probabilities after {step} tokens")
+        step += 1
+        parents, first = [], 0
+        for rec, live in enumerate(lives):
+            if not live:
+                continue
+            steps[rec] += 1
+            survivors = top_candidates(live, log_probs[first:first + len(live)], config)
+            lives[rec] = []
+            for row, hyp in survivors:
+                if hyp.finished:
+                    pools[rec].append(hyp)
+                else:
+                    lives[rec].append(hyp)
+                    parents.append(first + row)
+            first += len(live)
+    return [(sorted(pool, key=lambda h: rank_key(h, config.alpha)), n) for pool, n in zip(pools, steps)]
+
+
 def beam_search(model, review_ids, query_ids, config: BeamConfig) -> list[Hypothesis]:
     """Width-limited best-first expansion with a finished pool.
 
@@ -128,25 +168,7 @@ def beam_search(model, review_ids, query_ids, config: BeamConfig) -> list[Hypoth
     survive, finished ones retiring to the pool.  Returns the pool ranked
     best-first.
     """
-    ctx = model.prepare(review_ids, query_ids)
-    state = model.start(ctx)
-    live = [Hypothesis(ids=(BOS_ID,), log_prob=0.0, finished=False)]
-    parents = [0]
-    pool: list[Hypothesis] = []
-    while live:
-        logits, state = model.advance(ctx, state, parents, [h.ids[-1] for h in live])
-        log_probs = masked_log_softmax(logits, config.ban_tokens)
-        if np.isnan(log_probs).any():
-            raise ValueError(f"NaN in next-token log-probabilities after {len(live[0].ids) - 1} tokens")
-        survivors = top_candidates(live, log_probs, config)
-        live, parents = [], []
-        for row, hyp in survivors:
-            if hyp.finished:
-                pool.append(hyp)
-            else:
-                live.append(hyp)
-                parents.append(row)
-    return sorted(pool, key=lambda h: rank_key(h, config.alpha))
+    return beam_search_batch(model, [review_ids], [query_ids], config)[0][0]
 
 
 def rescore(model, review_ids, query_ids, hyp: Hypothesis, ban_tokens=(UNK_ID,)) -> float:
@@ -166,26 +188,51 @@ class GenerationResult:
     error: str | None = None
     score: float = 0.0
     token_ids: tuple = field(default_factory=tuple)
+    steps: int = 0  # beam steps the record took part in
+    finish: str | None = None  # "eos" or "max_len": how the best hypothesis ended
+
+
+CHUNK_RECORDS = 16  # records per beam loop in batch_generate: 64 hypothesis rows at width 4
 
 
 def batch_generate(model, triplets, config: BeamConfig, vocab: Vocabulary,
                    mode: str = "whitespace") -> list[GenerationResult]:
-    """Decode a dataset in order; per-record failures are reported, not fatal.
+    """Decode a dataset in order, ``CHUNK_RECORDS`` records per beam loop.
 
-    A ``max_len`` the model cannot reach is rejected before any record.
+    Per-record failures are reported, not fatal: a chunk that raises is
+    decoded again record by record, so only the failing record fails.  A
+    ``max_len`` the model cannot reach is rejected before any record.
     """
     limit = model.max_prefix_len
     if limit is not None and config.max_len > limit:
         raise ValueError(f"beam max_len {config.max_len} exceeds the model's position table "
                          f"of {limit} positions")
+
+    def decode(trips):
+        return beam_search_batch(model, [t.review_ids for t in trips], [t.query_ids for t in trips], config)
+
     results = []
-    for idx, trip in enumerate(triplets):
-        rid = trip.record_id or str(idx)
+    for lo in range(0, len(triplets), CHUNK_RECORDS):
+        chunk = triplets[lo:lo + CHUNK_RECORDS]
         try:
-            best = beam_search(model, trip.review_ids, trip.query_ids, config)[0]
-            text = detokenize(vocab.decode(best.surface), mode)
-            results.append(GenerationResult(rid, text, score=best.log_prob,
-                                            token_ids=tuple(best.surface)))
-        except Exception as exc:  # keep the run alive, surface the failure
-            results.append(GenerationResult(rid, None, error=f"record {idx} ({rid}): {exc}"))
+            decoded = decode(chunk)
+        except Exception:
+            decoded = []
+            for trip in chunk:
+                try:
+                    decoded.extend(decode([trip]))
+                except Exception as exc:
+                    decoded.append(exc)
+        for idx, (trip, out) in enumerate(zip(chunk, decoded), start=lo):
+            rid = trip.record_id or str(idx)
+            try:
+                if isinstance(out, Exception):
+                    raise out
+                pool, steps = out
+                best = pool[0]
+                text = detokenize(vocab.decode(best.surface), mode)
+                results.append(GenerationResult(rid, text, score=best.log_prob, token_ids=tuple(best.surface),
+                                                steps=steps, finish="eos" if best.ids[-1] == EOS_ID else "max_len"))
+            except Exception as exc:  # keep the run alive, surface the failure
+                results.append(GenerationResult(rid, None, error=f"record {idx} ({rid}): {exc}"))
     return results

@@ -15,7 +15,8 @@ Variants:
 
 Decoder: unidirectional LSTM (hidden 2d) over [prev embedding; context],
 attention recomputed each step from the previous state; logits are
-W_v . state.
+W_v . state.  Beam search computes the review half of the attention once
+per record (``prepare_batch``) and adds only the state's term each step.
 """
 
 from __future__ import annotations
@@ -141,6 +142,13 @@ def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
     c = T.add(T.matmul(T.concat([h_tilde, state_rows]), T.transpose(w_c)), b_c)
     if h_q is not None:
         c = T.add(c, T.reshape(T.matmul(h_q, T.transpose(w_q_attn)), (b, 1, d_a)))
+    return attend_review(h_tilde, c, v, mask)
+
+
+def attend_review(h_tilde: Tensor, c: Tensor, v: Tensor, mask: np.ndarray):
+    """a = softmax(v^T tanh(c)) over the review positions of pre-activations c (B, N, d_a)."""
+    b, n, width = h_tilde.shape
+    d_a = v.shape[0]
     scores = T.transpose(T.matmul(T.tanh(c), T.reshape(v, (d_a, 1))), 1, 2)  # (B, 1, N)
     weights = T.softmax_rows(scores, mask=mask[:, None, :])
     context = T.reshape(T.matmul(weights, h_tilde), (b, width))
@@ -209,38 +217,54 @@ class QaRnnModel(Seq2Seq):
 
     # ----- decoder side
 
-    def _decoder_step(self, h_tilde, mask, h_q, emb: Tensor, t: int, s: Tensor, c: Tensor):
-        """Feed position ``t`` of ``emb``; returns (logits (B, V), s, c)."""
-        b = emb.shape[0]
-        use_q = self._use_query_attn
-        context, _ = qa_attention(h_tilde, s, h_q if use_q else None, self.w_c,
-                                  self.w_q_attn if use_q else None, self.b_c,
-                                  T.reshape(self.v, (self.v.shape[0],)), mask)
-        x_t = T.concat([T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, emb.shape[-1])), context])
-        s, c = self.decoder.step(x_t, s, c)
+    def _decoder_step(self, emb_t: Tensor, context: Tensor, s: Tensor, c: Tensor):
+        """Feed one embedded token (B, e) and its attention context; returns (logits (B, V), s, c)."""
+        s, c = self.decoder.step(T.concat([emb_t, context]), s, c)
         return T.matmul(s, T.transpose(self.w_v)), s, c
 
     def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
         emb = self._embed(tip_input, train)
-        b, m, _ = emb.shape
+        b, m, e = emb.shape
+        h_tilde, mask = ctx["h_tilde"], ctx["mask"]
+        h_q = ctx["h_q"] if self._use_query_attn else None
+        w_q = self.w_q_attn if self._use_query_attn else None
         s, c = ctx["s0"], ctx["c0"]
         rows = []
         for t in range(m):
-            logits_t, s, c = self._decoder_step(ctx["h_tilde"], ctx["mask"], ctx["h_q"], emb, t, s, c)
+            # a reshape per step, not one shared node: a shared node would sum v's gradient in
+            # another order and move the float32 training trajectory
+            v = T.reshape(self.v, (self.v.shape[0],))
+            context, _ = qa_attention(h_tilde, s, h_q, self.w_c, w_q, self.b_c, v, mask)
+            logits_t, s, c = self._decoder_step(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e)), context, s, c)
             rows.append(T.reshape(logits_t, (b, 1, self.config.vocab_size)))
         return T.concat(rows, axis=1)
 
     # ----- decoding protocol
 
-    def start(self, ctx: dict) -> list:
+    def prepare_batch(self, reviews, queries) -> dict:
+        """The decoding context plus ``review_term``, H~ W_c[:, :2d]^T + b_c (+ W_q h_q):
+        the part of the attention pre-activation c that no decoder step changes."""
+        ctx = super().prepare_batch(reviews, queries)
+        h_tilde = ctx["h_tilde"]
+        b, _, width = h_tilde.shape
+        with T.no_grad():
+            term = T.add(T.matmul(h_tilde, T.transpose(T.slice_axis(self.w_c, -1, 0, width))), self.b_c)
+            if self._use_query_attn:
+                term = T.add(term, T.reshape(T.matmul(ctx["h_q"], T.transpose(self.w_q_attn)), (b, 1, width)))
+        return {**ctx, "review_term": term}
+
+    def _start(self, ctx: dict) -> list:
         """Decoder state before the first token: the start state [s0, c0]."""
         return [ctx["s0"], ctx["c0"]]
 
-    def _step(self, ctx: dict, rows: list, tokens: np.ndarray):
-        r = len(tokens)
-        h_tilde, mask, h_q = ctx["h_tilde"], ctx["mask"], ctx["h_q"]
-        h_tilde = T.broadcast_to(h_tilde, (r,) + h_tilde.shape[1:])
-        if h_q is not None:
-            h_q = T.broadcast_to(h_q, (r,) + h_q.shape[1:])
-        logits, s, c = self._decoder_step(h_tilde, mask, h_q, self._embed(tokens, False), 0, *rows)
+    def _step(self, ctx: dict, records: np.ndarray, rows: list, tokens: np.ndarray):
+        """Attention adds only the state's term s W_c[:, 2d:]^T to each record's ``review_term``."""
+        s, c = rows
+        r, width = s.shape
+        state_term = T.matmul(s, T.transpose(T.slice_axis(self.w_c, -1, width, 2 * width)))
+        pre = T.add(Tensor(ctx["review_term"].data[records]), T.reshape(state_term, (r, 1, width)))
+        context, _ = attend_review(Tensor(ctx["h_tilde"].data[records]), pre,
+                                   T.reshape(self.v, (self.v.shape[0],)), ctx["mask"][records])
+        emb_t = T.reshape(self._embed(tokens, False), (r, self.config.emb_dim))
+        logits, s, c = self._decoder_step(emb_t, context, s, c)
         return logits, [s, c]

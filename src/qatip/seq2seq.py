@@ -5,8 +5,10 @@ review_lengths, query, query_lengths, train)``, which returns the decoding
 context dict, and ``decode_logits(ctx, tip_input, train)``, which reads it
 with teacher forcing and returns logits (B, M, V).  Training, scoring and
 prefix decoding are written once here on top of those two methods, and
-beam search's ``advance`` on the family's ``start(ctx)``, a list of state
-tensors with one row per hypothesis, and ``_step(ctx, rows, tokens)``.
+beam search's ``start``/``advance`` on the family's ``_start(ctx)``, a list
+of state tensors with one row per record of the context, and
+``_step(ctx, records, rows, tokens)``, where ``records`` names the context
+record each of the state ``rows`` decodes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import length_mask
+from .corpus import pad_matrix
 from .tensor import ParamStore, Tensor
 
 
@@ -48,21 +51,32 @@ class Seq2Seq:
 
     # ----- decoding protocol
 
-    def prepare(self, review_ids, query_ids) -> dict:
-        review = np.asarray([list(review_ids)], dtype=np.int64)
-        query = np.asarray([list(query_ids)], dtype=np.int64)
+    def prepare_batch(self, reviews, queries) -> dict:
+        """Decoding context of several records, padded to one batch."""
+        review, review_lengths = pad_matrix(reviews)
+        query, query_lengths = pad_matrix(queries)
         with T.no_grad():
-            return self.encode(review, np.array([review.shape[1]]), query, np.array([query.shape[1]]))
+            return self.encode(review, review_lengths, query, query_lengths)
+
+    def prepare(self, review_ids, query_ids) -> dict:
+        return self.prepare_batch([review_ids], [query_ids])
 
     def step_logits(self, ctx: dict, prefix_ids) -> np.ndarray:
         with T.no_grad():
             logits = self.decode_logits(ctx, np.asarray([list(prefix_ids)], dtype=np.int64))
         return logits.data[0, -1].astype(np.float64)
 
+    def start(self, ctx: dict) -> list:
+        """One state row per context record: the record indices, then the family's tensors."""
+        rows = self._start(ctx)
+        return [np.arange(rows[0].shape[0]), *rows]
+
     def advance(self, ctx: dict, state: list, parents, tokens):
         """Next-token logits (R, V) after feeding ``tokens`` to the state rows ``parents``."""
         parents = np.asarray(parents, dtype=np.int64)
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        records, *rows = state
+        records = records[parents]
         with T.no_grad():
-            logits, state = self._step(ctx, [Tensor(x.data[parents]) for x in state], tokens)
-        return logits.data.reshape(len(parents), -1).astype(np.float64), state
+            logits, rows = self._step(ctx, records, [Tensor(x.data[parents]) for x in rows], tokens)
+        return logits.data.reshape(len(parents), -1).astype(np.float64), [records, *rows]

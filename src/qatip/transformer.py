@@ -22,11 +22,13 @@ import numpy as np
 from . import tensor as T
 from .attention import (
     MultiHeadConfig,
+    attend,
     causal_mask,
     init_multi_head,
     length_mask,
     multi_head,
     nonempty,
+    project_kv,
     sinusoidal_positions,
 )
 from .config import VARIANTS
@@ -171,7 +173,7 @@ class QaTransformerModel(Seq2Seq):
         return h
 
     def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False) -> dict:
-        """Decoding context: cross-attention memory ``kv`` and the ``review_mask``."""
+        """Decoding context: each decoder layer's projected cross-attention (K, V) and the ``review_mask``."""
         cfg = self.config
         review_ids = np.asarray(review_ids, dtype=np.int64)
         review_mask = length_mask(review_lengths, review_ids.shape[1])
@@ -200,16 +202,17 @@ class QaTransformerModel(Seq2Seq):
                 e_q = self._embed(q_ids, train)
                 h_q = self._query_summary(self.query_blocks_dec, e_r, e_q, q_mask, train)
             memory = fuse(h_q, memory, self.w_dec)
-        return {"kv": memory, "review_mask": review_mask}
+        cross = [project_kv(blk.cross, memory, memory) for blk in self.dec_layers]
+        return {"cross": cross, "review_mask": review_mask}
 
     # ----- decoder side
 
-    def _decoder_layer(self, blk: _DecoderLayer, x: Tensor, keys: Tensor, self_mask,
-                       kv: Tensor, review_mask: np.ndarray, train: bool) -> Tensor:
-        """Rows ``x`` self-attend over ``keys``, cross-attend over ``kv``, then the FFN."""
-        attn, _ = multi_head(blk.mh, x, keys, keys, mask=self_mask)
+    def _decoder_layer(self, blk: _DecoderLayer, x: Tensor, self_kv: tuple, self_mask,
+                       cross_kv: tuple, review_mask: np.ndarray, train: bool) -> Tensor:
+        """Rows ``x`` self-attend over ``self_kv``, cross-attend over ``cross_kv``, then the FFN."""
+        attn, _ = attend(blk.mh, x, *self_kv, mask=self_mask)
         x = self._sublayer(x, attn, blk.ln1_g, blk.ln1_b, train)
-        cross, _ = multi_head(blk.cross, x, kv, kv, mask=review_mask[:, None, :])
+        cross, _ = attend(blk.cross, x, *cross_kv, mask=review_mask[:, None, :])
         x = self._sublayer(x, cross, blk.ln3_g, blk.ln3_b, train)
         return self._sublayer(x, self._ffn(blk, x), blk.ln2_g, blk.ln2_b, train)
 
@@ -221,8 +224,9 @@ class QaTransformerModel(Seq2Seq):
         tip_input = np.asarray(tip_input, dtype=np.int64)
         x = self._embed(tip_input, train)
         self_mask = causal_mask(tip_input.shape[1])[None]
-        for blk in self.dec_layers:
-            x = self._decoder_layer(blk, x, x, self_mask, ctx["kv"], ctx["review_mask"], train)
+        for blk, cross_kv in zip(self.dec_layers, ctx["cross"]):
+            x = self._decoder_layer(blk, x, project_kv(blk.mh, x, x), self_mask, cross_kv,
+                                    ctx["review_mask"], train)
         return self._output_logits(x)
 
     # ----- decoding protocol
@@ -232,23 +236,29 @@ class QaTransformerModel(Seq2Seq):
         """Longest BOS-prefixed tip the position table can decode from."""
         return self.config.max_len
 
-    def start(self, ctx: dict) -> list:
+    def _start(self, ctx: dict) -> list:
         """Decoder state before the first token: no positions cached in any layer."""
-        empty = Tensor(np.zeros((1, 0, self.config.model_dim), dtype=self.dtype))
-        return [empty] * len(self.dec_layers)
+        cfg = self.config
+        b = ctx["review_mask"].shape[0]
+        empty = Tensor(np.zeros((b, cfg.num_heads, 0, cfg.model_dim // cfg.num_heads), dtype=self.dtype))
+        return [empty] * (2 * len(self.dec_layers))
 
-    def _step(self, ctx: dict, rows: list, tokens: np.ndarray):
+    def _step(self, ctx: dict, records: np.ndarray, rows: list, tokens: np.ndarray):
         """Logits (R, 1, V) of each row's next position and the grown per-layer state.
 
-        The state holds each decoder layer's self-attention inputs (R, t, d)
-        for the t positions seen.  Decoding is causal, so those rows never
-        change: only the new position runs through the layers, attending
-        over the cached rows plus itself.
+        The state holds each decoder layer's projected self-attention keys
+        and values (R, h, t, d/h) for the t positions seen.  Decoding is
+        causal, so those rows never change: only the new position is
+        projected and run through the layers, attending over the cached
+        rows plus itself.
         """
-        x = self._embed(tokens, train=False, offset=rows[0].shape[1])
+        x = self._embed(tokens, train=False, offset=rows[0].shape[2])
+        review_mask = ctx["review_mask"][records]
         cached = []
-        for blk, seen in zip(self.dec_layers, rows):
-            keys = T.concat([seen, x], axis=1)
-            cached.append(keys)
-            x = self._decoder_layer(blk, x, keys, None, ctx["kv"], ctx["review_mask"], train=False)
+        for i, (blk, memory) in enumerate(zip(self.dec_layers, ctx["cross"])):
+            k_new, v_new = project_kv(blk.mh, x, x)
+            self_kv = (T.concat([rows[2 * i], k_new], axis=2), T.concat([rows[2 * i + 1], v_new], axis=2))
+            cached.extend(self_kv)
+            cross_kv = [Tensor(t.data[records]) for t in memory]
+            x = self._decoder_layer(blk, x, self_kv, None, cross_kv, review_mask, train=False)
         return self._output_logits(x), cached

@@ -19,6 +19,7 @@ class TableModel:
 
     Its incremental state is the live prefixes, and ``advance`` takes each
     row from ``self.step_logits``, so a test may patch that on an instance.
+    Every record of a batch reads the same table.
     """
 
     max_prefix_len = None
@@ -29,7 +30,10 @@ class TableModel:
         self.table = dict(table or {})
 
     def prepare(self, review_ids, query_ids):
-        return {"review": tuple(review_ids), "query": tuple(query_ids)}
+        return self.prepare_batch([review_ids], [query_ids])
+
+    def prepare_batch(self, reviews, queries):
+        return {"reviews": [tuple(r) for r in reviews], "queries": [tuple(q) for q in queries]}
 
     def _row(self, prefix):
         h = self.seed
@@ -44,7 +48,7 @@ class TableModel:
         return self._row(key)
 
     def start(self, ctx):
-        return [()]
+        return [()] * len(ctx["reviews"])
 
     def advance(self, ctx, state, parents, tokens):
         prefixes = [state[p] + (int(t),) for p, t in zip(parents, tokens)]
@@ -53,29 +57,44 @@ class TableModel:
 
 
 class FailingModel:
-    """Raises on a designated review to exercise per-record error reporting."""
+    """Wraps a model to exercise per-record error reporting.
 
-    def __init__(self, inner, poison_review):
+    A batch holding ``poison_review`` raises when prepared; the rows of a
+    record whose review is ``nan_review`` read NaN logits.
+    """
+
+    def __init__(self, inner, poison_review, nan_review=None):
         self.inner = inner
         self.poison = tuple(poison_review)
-
-    def prepare(self, review_ids, query_ids):
-        if tuple(review_ids) == self.poison:
-            raise RuntimeError("poisoned record")
-        return self.inner.prepare(review_ids, query_ids)
+        self.nan = None if nan_review is None else tuple(nan_review)
 
     @property
     def max_prefix_len(self):
         return self.inner.max_prefix_len
 
+    def prepare(self, review_ids, query_ids):
+        return self.prepare_batch([review_ids], [query_ids])
+
+    def prepare_batch(self, reviews, queries):
+        reviews = [tuple(r) for r in reviews]
+        if self.poison in reviews:
+            raise RuntimeError("poisoned record")
+        return {"inner": self.inner.prepare_batch(reviews, queries),
+                "nan": np.array([r == self.nan for r in reviews])}
+
     def step_logits(self, ctx, prefix_ids):
-        return self.inner.step_logits(ctx, prefix_ids)
+        logits = self.inner.step_logits(ctx["inner"], prefix_ids)
+        return np.full_like(logits, np.nan) if ctx["nan"][0] else logits
 
     def start(self, ctx):
-        return self.inner.start(ctx)
+        return np.arange(len(ctx["nan"])), self.inner.start(ctx["inner"])
 
     def advance(self, ctx, state, parents, tokens):
-        return self.inner.advance(ctx, state, parents, tokens)
+        records, inner = state
+        records = records[np.asarray(parents, dtype=np.int64)]
+        logits, inner = self.inner.advance(ctx["inner"], inner, parents, tokens)
+        logits = np.where(ctx["nan"][records][:, None], np.nan, logits)
+        return logits, (records, inner)
 
 
 def _log_softmax_masked(logits, banned):

@@ -1,10 +1,14 @@
 """The batched beam engine against the per-hypothesis reference search.
 
-The engine scores all live hypotheses of a step with one ``advance`` call
-and builds only the candidates that can survive; these tests hold it to the
-reference's ranked output, its model steps to ``step_logits``, and its
-selection to a full sort of every candidate.
+The engine scores all live hypotheses of a step, over every record of a
+chunk, with one ``advance`` call and builds only the candidates that can
+survive; these tests hold it to the reference's ranked output, its model
+steps to ``step_logits``, its selection to a full sort of every candidate,
+and a chunk's output to each record decoded alone.
 """
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoding_refs import TableModel, reference_beam_search
+from qatip import generation
 from qatip.config import VARIANTS
-from qatip.generation import BeamConfig, Hypothesis, beam_search, rank_key, top_candidates
+from qatip.corpus import RESERVED_TOKENS, Triplet, Vocabulary, encode_records, load_jsonl, vocab_from_records
+from qatip.generation import (
+    BeamConfig, Hypothesis, batch_generate, beam_search, beam_search_batch, rank_key, top_candidates,
+)
 from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.transformer import QaTransformerModel, TransformerConfig
 
@@ -129,3 +137,62 @@ def test_selection_equals_full_sort(case):
     want = full_sort(live, table, config)
     assert [row for row, _ in got] == [row for row, _ in want]
     assert [h for _, h in got] == [h for _, h in want]
+
+
+# records of different review and query lengths, one with an empty query, so a chunk pads both
+RECORDS = [((4, 5, 6, 7, 8), (9, 10)), ((11,), (12, 13, 14)), ((5, 6, 7, 8, 9, 10, 11, 12), ()),
+           ((13, 14, 15), (4,)), ((16, 4), (5, 6))]
+
+
+@pytest.mark.parametrize("family", ["rnn", "transformer"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunk_decodes_each_record_as_alone(family, variant, monkeypatch):
+    model = build(family, variant)
+    vocab = Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(13)])
+    trips = [Triplet(r, q, (), "", "", "", f"r{i}") for i, (r, q) in enumerate(RECORDS)]
+    reviews, queries = zip(*RECORDS)
+    for alpha in (0.0, 0.7):
+        for width in (1, 3, 8):
+            cfg = BeamConfig(max_len=6, width=width, alpha=alpha)
+            chunk = beam_search_batch(model, reviews, queries, cfg)
+            for (pool, steps), (review, query) in zip(chunk, RECORDS):
+                ((alone, alone_steps),) = beam_search_batch(model, [review], [query], cfg)
+                assert_same_ranking(pool, alone)
+                assert steps == alone_steps
+            together = batch_generate(model, trips, cfg, vocab)
+            monkeypatch.setattr(generation, "CHUNK_RECORDS", 1)
+            apart = batch_generate(model, trips, cfg, vocab)
+            monkeypatch.undo()
+            for a, b in zip(together, apart):
+                assert a.error is None and b.error is None
+                assert (a.token_ids, a.tip, a.steps, a.finish) == (b.token_ids, b.tip, b.steps, b.finish)
+                assert abs(a.score - b.score) < 1e-9
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "data" / "sample_triplets.jsonl"
+
+
+@pytest.mark.parametrize("family", ["rnn", "transformer"])
+def test_float32_chunk_picks_the_tips_of_records_alone(family, monkeypatch):
+    """In the checkpoint dtype a chunk pads reviews to its longest one and
+    shapes every product by its row count, which moves scores by rounding;
+    on these bundled records no picked tip moves with it."""
+    records = load_jsonl(str(BUNDLED), inference=True)[:48]
+    vocab = vocab_from_records(records)
+    # the bundled reviews all hold 25 tokens: cut them to lengths 1..25 so the chunks pad
+    trips = [replace(t, review_ids=t.review_ids[:1 + (7 * i) % 25])
+             for i, t in enumerate(encode_records(records, vocab, 40, 4, 14, inference=True))]
+    # the benchmark's decode models
+    if family == "rnn":
+        model = QaRnnModel(RnnConfig(vocab_size=vocab.size, emb_dim=64, hidden_dim=64, variant="both"), seed=2020)
+    else:
+        model = QaTransformerModel(TransformerConfig(vocab_size=vocab.size, model_dim=128, num_heads=8, num_layers=2,
+                                                     ffn_dim=512, dropout=0.0, variant="both", max_len=42), seed=2020)
+    assert model.dtype == np.float32
+    cfg = BeamConfig(max_len=14, width=4)
+    together = batch_generate(model, trips, cfg, vocab)
+    monkeypatch.setattr(generation, "CHUNK_RECORDS", 1)
+    apart = batch_generate(model, trips, cfg, vocab)
+    assert [r.token_ids for r in together] == [r.token_ids for r in apart]
+    gaps = [abs(a.score - b.score) for a, b in zip(together, apart)]
+    assert 0 < max(gaps) < 1e-4  # rounding moves, the tips stay

@@ -96,6 +96,22 @@ def test_generate_covers_every_record(workdir, capsys, tmp_path):
     assert all(set(r) == {"id", "tip"} for r in rows)
 
 
+def test_generate_prints_one_summary_line(workdir, capsys, tmp_path):
+    out = str(tmp_path / "gen.jsonl")
+    assert main(["generate", "--checkpoint", workdir["checkpoint"],
+                 "--vocab", workdir["vocab"], "--data", workdir["data"],
+                 "--beam", "2", "--out", out]) == 0
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    summary = json.loads(line)
+    n = len(workdir["records"])
+    assert set(summary) == {"records", "failed", "seconds", "records_per_s", "mean_steps", "finish"}
+    assert (summary["records"], summary["failed"]) == (n, 0)
+    assert summary["seconds"] > 0 and summary["records_per_s"] > 0
+    assert set(summary["finish"]) == {"eos", "max_len"} and sum(summary["finish"].values()) == n
+    assert 1 <= summary["mean_steps"] <= 8  # tip_max_len
+    assert all(set(json.loads(l)) == {"id", "tip"} for l in read_lines(out))
+
+
 def test_generate_beam_one_equals_greedy(workdir, capsys, tmp_path):
     out = str(tmp_path / "beam1.jsonl")
     assert main(["generate", "--checkpoint", workdir["checkpoint"],

@@ -98,6 +98,12 @@ class TestVocab:
         with pytest.raises(DatasetError, match=r"vocab\.txt: vocabulary contains duplicate token 'cake'"):
             Vocabulary.load(path)
 
+    def test_load_locates_invalid_utf8(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\n<bos>\n<eos>\n<unk>\ncake\nt\xffa\n")
+        with pytest.raises(DatasetError, match=r"vocab\.txt line 6: invalid UTF-8$"):
+            Vocabulary.load(path)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             build_vocab([], min_freq=0)

@@ -57,6 +57,13 @@ def test_bad_float_names_line(tmp_path):
         load_embeddings(path)
 
 
+def test_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"a 1 2\n\xffb 3 4\n")
+    with pytest.raises(ValueError, match=r"^line 2: invalid UTF-8$"):
+        load_embeddings(str(path))
+
+
 def test_empty_file_rejected(tmp_path):
     with pytest.raises(ValueError, match="no vectors"):
         load_embeddings(write(tmp_path, ""))

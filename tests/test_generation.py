@@ -234,3 +234,37 @@ def test_beam_reports_nan_logits():
     model.step_logits = lambda ctx, prefix: np.full(5, np.nan)
     with pytest.raises(ValueError, match="NaN"):
         beam_search(model, (0,), (0,), BeamConfig(max_len=3, width=2))
+
+
+def test_generation_records_steps_and_finish():
+    from qatip.corpus import EOS_ID, UNK_ID
+
+    vocab = _mini_vocab()
+    good, fast = vocab.token_to_id["good"], vocab.token_to_id["fast"]
+    table = {(1,): peaked(vocab.size, good), (1, good): peaked(vocab.size, fast),
+             (1, good, fast): peaked(vocab.size, 2)}
+    trips = [Triplet((4,), (5,), (), "", "", "", "a")]
+    (by_eos,) = batch_generate(TableModel(vocab_size=vocab.size, table=table), trips,
+                               BeamConfig(max_len=4, width=1), vocab)
+    assert (by_eos.token_ids, by_eos.steps, by_eos.finish) == ((good, fast), 3, "eos")
+    # with EOS banned every hypothesis runs to the cap
+    (by_cap,) = batch_generate(TableModel(vocab_size=vocab.size, seed=4), trips,
+                               BeamConfig(max_len=3, width=2, ban_tokens=(UNK_ID, EOS_ID)), vocab)
+    assert (len(by_cap.token_ids), by_cap.steps, by_cap.finish) == (3, 3, "max_len")
+
+
+def test_chunk_failures_stay_with_their_records():
+    vocab = Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(13)])
+    inner = QaRnnModel(RnnConfig(vocab_size=vocab.size, emb_dim=5, hidden_dim=4), seed=31, dtype=np.float64)
+    model = FailingModel(inner, poison_review=(5, 6), nan_review=(7, 8, 9))
+    reviews = [(4, 5, 6, 7), (5, 6), (9, 10), (7, 8, 9), (11, 12, 13, 14, 15)]
+    trips = [Triplet(r, (6, 4), (), "", "", "", f"rec-{i}") for i, r in enumerate(reviews)]
+    cfg = BeamConfig(max_len=5, width=3)
+    results = batch_generate(model, trips, cfg, vocab)
+    assert [r.error for r in results] == [
+        None, "record 1 (rec-1): poisoned record", None,
+        "record 3 (rec-3): NaN in next-token log-probabilities after 0 tokens", None]
+    for trip, res in zip(trips, results):
+        if res.error is None:
+            best = beam_search(inner, trip.review_ids, trip.query_ids, cfg)[0]
+            assert res.token_ids == best.surface and res.score == best.log_prob

@@ -132,7 +132,7 @@ def test_shapes_across_variants():
     for variant in ("vanilla", "qa_enc", "qa_dec", "both"):
         model = QaTransformerModel(tiny_config(variant), seed=9)
         ctx = model.encode(batch.review, batch.review_lengths, batch.query, batch.query_lengths)
-        assert ctx["kv"].shape == (2, batch.review.shape[1], 8)
+        assert ctx["cross"][0][0].shape == (2, 2, batch.review.shape[1], 4)
         logits = model.decode_logits(ctx, batch.tip_input)
         assert logits.shape == (2, batch.tip_input.shape[1], 13)
 
