@@ -105,7 +105,7 @@ def _merge_heads(x: Tensor) -> Tensor:
 def project_kv(params: MultiHeadParams, keys: Tensor, values: Tensor):
     """Per-head keys and values (B, h, N, d/h) of batched (B, N, d) inputs."""
     h = params.num_heads
-    return _split_heads(T.matmul(keys, params.wk), h), _split_heads(T.matmul(values, params.wv), h)
+    return _split_heads(T.linear(keys, params.wk), h), _split_heads(T.linear(values, params.wv), h)
 
 
 def attend(params: MultiHeadParams, query: Tensor, k: Tensor, v: Tensor,
@@ -116,14 +116,14 @@ def attend(params: MultiHeadParams, query: Tensor, k: Tensor, v: Tensor,
     identically to every head.  Returns (output (B, A, d), weights
     (B, h, A, N)).
     """
-    q = _split_heads(T.matmul(query, params.wq), params.num_heads)
+    q = _split_heads(T.linear(query, params.wq), params.num_heads)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         while mask.ndim < 3:
             mask = mask[None]
         mask = mask[:, None, :, :]  # shared across heads
     context, weights = scaled_dot_attention(q, k, v, mask=mask)
-    out = T.matmul(_merge_heads(context), params.wo)
+    out = T.linear(_merge_heads(context), params.wo)
     return out, weights
 
 

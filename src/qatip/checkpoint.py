@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from typing import Mapping
 
 import numpy as np
 
+from .config import json_type_mismatch
 from .models import FAMILIES
 
 MAGIC = b"QTIP"
@@ -35,7 +37,12 @@ def _canonical_json(obj) -> bytes:
 
 
 def model_from_config(config: Mapping):
-    """Instantiate an untrained model from a checkpoint config snapshot."""
+    """Instantiate an untrained model from a checkpoint config snapshot.
+
+    Each field must hold a JSON value of its declared type (integers are
+    sizes, >= 1; the float is finite) and pass the family config's own
+    checks; anything else raises ``CheckpointError`` naming the field.
+    """
     family = config.get("family")
     cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
@@ -44,8 +51,19 @@ def model_from_config(config: Mapping):
     for f in dataclasses.fields(cls.Config):
         if f.name not in config:
             raise CheckpointError(f"config is missing field {f.name}")
-        kwargs[f.name] = config[f.name]
-    return cls(cls.Config(**kwargs))
+        value = config[f.name]
+        lacking = json_type_mismatch(f.type, value)
+        if lacking:
+            raise CheckpointError(f"config field {f.name} must be {lacking}, got {value!r}")
+        # every integer field is a size, and the float (dropout) must be finite
+        if (f.type == "int" and value < 1) or (f.type == "float" and not math.isfinite(value)):
+            raise CheckpointError(f"config field {f.name} has invalid value {value!r}")
+        kwargs[f.name] = value
+    try:
+        model_config = cls.Config(**kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"config is invalid: {exc}") from None
+    return cls(model_config)
 
 
 def save_checkpoint(model, config: Mapping, path: str) -> None:

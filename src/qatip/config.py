@@ -94,6 +94,21 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+# the JSON values that can fill a dataclass field of each declared type
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def json_type_mismatch(field_type: str, value) -> str | None:
+    """What ``value`` should have been (say "an integer") to fill a field declared
+    ``field_type``; None when it fits."""
+    kind, fits = _JSON_TYPES[field_type]
+    return None if fits(value) else kind
+
 
 def run_config_from_dict(doc: dict, check_paths: bool = True) -> RunConfig:
     if not isinstance(doc, dict):
@@ -104,20 +119,10 @@ def run_config_from_dict(doc: dict, check_paths: bool = True) -> RunConfig:
     kwargs = {}
     for name, value in doc.items():
         want = _FIELDS[name].type
-        if want == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {name} must be an integer")
-        elif want == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {name} must be a number")
-            value = float(value)
-        elif want == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {name} must be a string")
-        elif want == "bool":
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {name} must be a boolean")
-        kwargs[name] = value
+        lacking = json_type_mismatch(want, value)
+        if lacking:
+            raise ConfigError(f"config key {name} must be {lacking}")
+        kwargs[name] = float(value) if want == "float" else value
     return RunConfig(**kwargs).validate(check_paths)
 
 

@@ -89,6 +89,24 @@ def _check_matmul(rng, h=STEP):
     return check_grads({"a": a, "w": w, "full": full}, loss, h)
 
 
+def _check_linear(rng, h=STEP):
+    d, k = rng.integers(2, 5), rng.integers(2, 5)
+    w = _randn(rng, (d, k))
+    b = _randn(rng, (k,))
+    w_t = _randn(rng, (k, d))  # read through a transposed view, as the tied output layer reads
+    xs = {f"x{n}": _randn(rng, tuple(rng.integers(1, 4, size=n - 1)) + (d,)) for n in (2, 3, 4)}
+    probes = [rng.standard_normal(x.shape[:-1] + (k,)) for x in xs.values()]
+
+    def loss():
+        total = Tensor(np.zeros(()), dtype=np.float64)
+        for x, probe in zip(xs.values(), probes):
+            out = T.add(T.linear(x, w, b), T.linear(x, T.transpose(w_t)))
+            total = T.add(total, T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64))))
+        return total
+
+    return check_grads({"w": w, "b": b, "w_t": w_t, **xs}, loss, h)
+
+
 def _check_transpose(rng, h=STEP):
     a = _randn(rng, (2, 3, 4))
     probe = rng.standard_normal((2, 4, 3))
@@ -274,6 +292,7 @@ OP_CHECKS = {
     "mean_all": _check_mean,
     "nll_loss": _check_nll,
     "dropout": _check_dropout,
+    "linear": _check_linear,
 }
 
 

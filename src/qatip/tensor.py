@@ -202,6 +202,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Position-wise projection ``x @ w + b`` of x (..., d) by w (d, k), b (k,).
+
+    The leading axes of ``x`` flatten into one (M, d) GEMM, so the weight
+    gradient is one (d, M) @ (M, k) product rather than a per-batch stack
+    summed down, and a decode step's rows run as one product.
+    """
+    parents = (x, w) if b is None else (x, w, b)
+    _check_same_dtype(*parents)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"linear needs x (..., d) and w (d, k), got {x.data.shape} and {w.data.shape}")
+    if b is not None and b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"linear bias shape {b.data.shape} does not match w {w.data.shape}")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out2 = x2 @ w.data
+    if b is not None:
+        out2 += b.data
+    out_data = out2.reshape(x.data.shape[:-1] + w.data.shape[1:])
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        pairs = []
+        if x.requires_grad:
+            pairs.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
+        if w.requires_grad:
+            pairs.append((w, x2.T @ g2))
+        if b is not None and b.requires_grad:
+            pairs.append((b, g2.sum(axis=0)))
+        return pairs
+
+    return _result(out_data, parents, bwd)
+
+
 def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     out_data = np.swapaxes(a.data, axis1, axis2)
 
@@ -269,11 +302,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     d = a.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-d) for d >= 0 and e^d / (1 + e^d) below, with e = exp(-|d|), which never
+    # overflows; min(d, -d) rather than -|d| passes a NaN on with its sign, as exp(d) did
+    e = np.exp(np.minimum(d, -d))
+    out_data = np.where(d >= 0, 1.0, e) / (1.0 + e)
 
     def bwd(g):
         return [(a, g * out_data * (1.0 - out_data))]
@@ -470,10 +502,16 @@ def nll_loss(logits: Tensor, targets, pad_mask=None) -> Tensor:
 
     mx = d.max(axis=-1, keepdims=True)
     shifted = d - mx
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + mx
+    ex = np.exp(shifted)
+    lse = np.log(ex.sum(axis=-1, keepdims=True)) + mx
     log_probs = d - lse
-    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
-    per_seq = -(picked * m).sum(axis=-1) / steps
+    # -log p_t as lse - d_t cancels to nothing as p_t nears 1; with s = d - max,
+    # log1p(expm1(s_t) + sum_{j != t} e^{s_j}) - s_t has no cancelling term, so a
+    # confident step's loss keeps its relative precision
+    s_t = np.take_along_axis(shifted, targets[..., None], axis=-1)
+    np.put_along_axis(ex, targets[..., None], 0.0, axis=-1)
+    step_nll = (np.log1p(np.expm1(s_t) + ex.sum(axis=-1, keepdims=True)) - s_t)[..., 0]
+    per_seq = (step_nll * m).sum(axis=-1) / steps
     out_data = np.asarray(per_seq.mean(), dtype=d.dtype)
 
     n_seq = int(np.prod(per_seq.shape)) if per_seq.shape else 1

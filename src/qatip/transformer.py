@@ -79,7 +79,7 @@ def fuse(h_a: Tensor, h_b: Tensor, w: Tensor) -> Tensor:
     """[h_a; h_b] W : feature-wise concat then projection back to d."""
     if h_a.shape[:-1] != h_b.shape[:-1]:
         raise ValueError(f"fuse row mismatch: {h_a.shape} vs {h_b.shape}")
-    return T.matmul(T.concat([h_a, h_b]), w)
+    return T.linear(T.concat([h_a, h_b]), w)
 
 
 class _Block:
@@ -153,8 +153,8 @@ class QaTransformerModel(Seq2Seq):
         return T.layer_norm(T.add(x, self._dropout(out, train)), gain, bias)
 
     def _ffn(self, blk: _Block, x: Tensor) -> Tensor:
-        hidden = T.relu(T.add(T.matmul(x, blk.w1), blk.b1))
-        return T.add(T.matmul(hidden, blk.w2), blk.b2)
+        hidden = T.relu(T.linear(x, blk.w1, blk.b1))
+        return T.linear(hidden, blk.w2, blk.b2)
 
     def _run_block(self, blk: _Block, x: Tensor, kv: Tensor, mask, train: bool) -> Tensor:
         attn, _ = multi_head(blk.mh, x, kv, kv, mask=mask)
@@ -218,7 +218,7 @@ class QaTransformerModel(Seq2Seq):
 
     def _output_logits(self, x: Tensor) -> Tensor:
         proj = self.emb if self.w_out is None else self.w_out
-        return T.matmul(x, T.transpose(proj))
+        return T.linear(x, T.transpose(proj))
 
     def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
         tip_input = np.asarray(tip_input, dtype=np.int64)

@@ -191,6 +191,33 @@ def test_model_from_config_validation():
         model_from_config({"family": "rnn", "vocab_size": 13})
 
 
+@pytest.mark.parametrize("make, field, value, match", [
+    (tiny_rnn, "hidden_dim", "4", "hidden_dim must be an integer, got '4'"),
+    (tiny_rnn, "hidden_dim", 4.5, "hidden_dim must be an integer"),
+    (tiny_rnn, "hidden_dim", True, "hidden_dim must be an integer"),
+    (tiny_rnn, "vocab_size", None, "vocab_size must be an integer"),
+    (tiny_rnn, "vocab_size", -3, "vocab_size has invalid value -3"),
+    (tiny_rnn, "emb_dim", 0, "emb_dim has invalid value 0"),
+    (tiny_rnn, "dropout", "x", "dropout must be a number"),
+    (tiny_rnn, "dropout", float("nan"), "dropout has invalid value nan"),
+    (tiny_rnn, "variant", "9oth", "unknown variant '9oth'"),
+    (tiny_transformer, "max_len", -1, "max_len has invalid value -1"),
+    (tiny_transformer, "num_heads", 0, "num_heads has invalid value 0"),
+    (tiny_transformer, "num_heads", 3, "model_dim 8 not divisible by num_heads 3"),
+    (tiny_transformer, "tie_output", "yes", "tie_output must be a boolean"),
+    (tiny_transformer, "share_query_block", 1, "share_query_block must be a boolean"),
+])
+def test_ill_typed_config_field_is_located(tmp_path, make, field, value, match):
+    model = make()
+    config = {**model.config_dict(), field: value}
+    with pytest.raises(CheckpointError, match=match):
+        model_from_config(config)
+    path = save_path(tmp_path)
+    save_checkpoint(model, config, path)  # the header holds the field as written
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_extra_config_keys_are_preserved(tmp_path):
     model = tiny_rnn()
     path = save_path(tmp_path)

@@ -1,6 +1,7 @@
 """Autodiff engine, optimizer, and gradient-check harness tests."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qatip import tensor as T
 from qatip.corpus import Triplet, make_batch
@@ -94,6 +97,17 @@ def test_nll_respects_pad_mask():
     assert abs(loss - expected) < 1e-6
 
 
+@pytest.mark.parametrize("dtype, gap", [(np.float64, 30.0), (np.float32, 12.0)])
+def test_nll_keeps_precision_of_confident_steps(dtype, gap):
+    # each step puts 1 / (1 + 2 e^-gap) on its target; as lse - d_t the loss keeps only
+    # the bits of lse below the gap, and a memorized model's gradient check then fails
+    logits = Tensor(np.array([[gap, 0.0, 0.0], [0.0, gap, 0.0]]), dtype=dtype)
+    loss = T.nll_loss(logits, np.array([0, 1]))
+    want = math.log1p(2.0 * math.exp(-gap))
+    assert loss.data.dtype == dtype
+    assert abs(loss.item() - want) <= 4 * np.finfo(dtype).eps * want
+
+
 def test_nll_all_masked_sequence_rejected():
     logits = Tensor(np.zeros((2, 3, 4)))
     targets = np.zeros((2, 3), dtype=np.int64)
@@ -117,6 +131,87 @@ def test_mixed_dtype_rejected():
     b = Tensor(np.zeros((2, 2)), dtype=np.float64)
     with pytest.raises(TypeError, match="mixed"):
         T.add(a, b)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape, w_dtype, b_dtype, error, match", [
+    ((2, 3, 4), (5, 6), None, np.float64, None, ValueError, r"\(2, 3, 4\) and \(5, 6\)"),
+    ((2, 4), (4,), None, np.float64, None, ValueError, r"\(2, 4\) and \(4,\)"),
+    ((2, 4), (4, 3), (4,), np.float64, np.float64, ValueError, r"bias shape \(4,\)"),
+    ((2, 4), (4, 3), None, np.float32, None, TypeError, "mixed"),
+    ((2, 4), (4, 3), (3,), np.float64, np.float32, TypeError, "mixed"),
+])
+def test_linear_rejects_bad_operands(x_shape, w_shape, b_shape, w_dtype, b_dtype, error, match):
+    x = Tensor(np.zeros(x_shape), dtype=np.float64)
+    w = Tensor(np.zeros(w_shape), dtype=w_dtype)
+    b = None if b_shape is None else Tensor(np.zeros(b_shape), dtype=b_dtype)
+    with pytest.raises(error, match=match):
+        T.linear(x, w, b)
+
+
+def _linear_and_grads(op, x, w, b, probe):
+    for t in (x, w, b):
+        t.zero_grad()
+    out = op()
+    backward(T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64))))
+    return out.data, x.grad, w.grad, b.grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=3), d=st.integers(1, 5),
+       k=st.integers(1, 5), bias=st.booleans(), transposed=st.booleans(), seed=st.integers(0, 2**16))
+def test_linear_equals_matmul_plus_add(lead, d, k, bias, transposed, seed):
+    """In float64, one flattened GEMM gives matmul + add's values and all three gradients."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((*lead, d)), requires_grad=True, dtype=np.float64)
+    w_data = rng.standard_normal((k, d) if transposed else (d, k))
+    w = Tensor(w_data, requires_grad=True, dtype=np.float64)
+    b = Tensor(rng.standard_normal(k), requires_grad=True, dtype=np.float64)
+    probe = rng.standard_normal((*lead, k))
+
+    def weight():
+        return T.transpose(w) if transposed else w
+
+    def fused():
+        return T.linear(x, weight(), b if bias else None)
+
+    def reference():
+        # matmul needs a leading axis, so a single row is run as a (1, d) matrix
+        x2 = T.reshape(x, (1, d)) if not lead else x
+        out = T.matmul(x2, weight())
+        if bias:
+            out = T.add(out, b)
+        return T.reshape(out, (k,)) if not lead else out
+
+    got = _linear_and_grads(fused, x, w, b, probe)
+    want = _linear_and_grads(reference, x, w, b, probe)
+    for g, r in zip(got, want):
+        if r is None:  # the bias gradient when no bias was used
+            assert g is None
+            continue
+        assert g.shape == r.shape
+        assert rel_error(g, r) <= 1e-12
+
+
+def _sigmoid_masked_reference(d):
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_form_bitwise(dtype):
+    extremes = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -88.7, 104.0, -104.0,
+                745.0, -745.0, 1e-30, -1e-30, 20.0, -20.0]
+    rng = np.random.default_rng(7)
+    d = np.concatenate([np.array(extremes), rng.standard_normal(4096) * 30]).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = T.sigmoid(Tensor(d)).data
+        want = _sigmoid_masked_reference(d)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_embedding_lookup_gathers_rows():
