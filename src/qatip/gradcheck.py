@@ -274,6 +274,25 @@ def _check_dropout(rng, h=STEP):
     return check_grads({"a": a}, loss, h)
 
 
+def _check_lstm_scan(rng, h=STEP):
+    b, n, e, d = 3, 4, 3, 2
+    x = _randn(rng, (b, n, e))
+    w_x = _randn(rng, (e, 4 * d))
+    w_h = _randn(rng, (d, 4 * d))
+    bias = _randn(rng, (4 * d,))
+    lengths = np.array([n, 1, rng.integers(1, n + 1)])  # a full row, a length-1 row, one at random
+    mask = np.arange(n)[None, :] < lengths[:, None]
+    probe = rng.standard_normal((b, n, d))
+    worst = 0.0
+    for reverse in (False, True):
+        def loss():
+            out = T.lstm_scan(x, w_x, w_h, bias, mask, reverse=reverse)
+            return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
+
+        worst = max(worst, check_grads({"x": x, "w_x": w_x, "w_h": w_h, "b": bias}, loss, h))
+    return worst
+
+
 OP_CHECKS = {
     "matmul": _check_matmul,
     "transpose": _check_transpose,
@@ -293,6 +312,7 @@ OP_CHECKS = {
     "nll_loss": _check_nll,
     "dropout": _check_dropout,
     "linear": _check_linear,
+    "lstm_scan": _check_lstm_scan,
 }
 
 

@@ -3,7 +3,7 @@
 Encoder: one bidirectional LSTM over the review (and one over the query when
 a variant needs it).  Per-step states H_t = [fwd_t; bwd_t] are 2d wide; the
 sequence summary is [fwd_last; bwd_first].  PAD steps carry exactly zero
-states.
+states.  Each direction is one ``T.lstm_scan`` tape node.
 
 Variants:
   vanilla: no gate, no query term in attention; the query encoder is not
@@ -53,7 +53,11 @@ class RnnConfig:
 
 
 class LstmCell:
-    """Packed-gate LSTM cell; gate order i, f, g, o with forget bias +1."""
+    """Packed-gate LSTM cell; gate order i, f, g, o with forget bias +1.
+
+    ``step`` runs the decoder; the encoder runs each direction's weights
+    through one ``T.lstm_scan``, which repeats ``step``'s arithmetic.
+    """
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int):
         self.w_x = store.glorot(f"{prefix}.w_x", (in_dim, 4 * hidden))
@@ -71,23 +75,6 @@ class LstmCell:
         c_new = T.add(T.mul(f, c), T.mul(i, g))
         h_new = T.mul(o, T.tanh(c_new))
         return h_new, c_new
-
-
-def _scan(cell: LstmCell, emb: Tensor, step_masks: list[Tensor], reverse: bool) -> Tensor:
-    """Run a masked LSTM over time; returns the hidden states (B, N, d)."""
-    b, n, e = emb.shape
-    dtype = emb.dtype
-    h = Tensor(np.zeros((b, cell.hidden), dtype=dtype))
-    c = Tensor(np.zeros((b, cell.hidden), dtype=dtype))
-    states: list = [None] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        x_t = T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e))
-        h_new, c_new = cell.step(x_t, h, c)
-        h = T.mul(h_new, step_masks[t])  # PAD steps stay exactly zero
-        c = T.mul(c_new, step_masks[t])
-        states[t] = T.reshape(h, (b, 1, cell.hidden))
-    return T.concat(states, axis=1)
 
 
 def _summary(h_seq: Tensor, lengths: np.ndarray) -> Tensor:
@@ -110,9 +97,8 @@ def bilstm_encode(fwd: LstmCell, bwd: LstmCell, emb: Tensor, lengths):
     if lengths.max() > n:
         raise ValueError("length exceeds sequence width")
     mask = length_mask(lengths, n)
-    step_masks = [Tensor(mask[:, t : t + 1].astype(emb.dtype)) for t in range(n)]
-    h_seq = T.concat([_scan(fwd, emb, step_masks, reverse=False),
-                      _scan(bwd, emb, step_masks, reverse=True)])
+    h_seq = T.concat([T.lstm_scan(emb, fwd.w_x, fwd.w_h, fwd.b, mask),
+                      T.lstm_scan(emb, bwd.w_x, bwd.w_h, bwd.b, mask, reverse=True)])
     return h_seq, _summary(h_seq, lengths)
 
 

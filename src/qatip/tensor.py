@@ -300,12 +300,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(out_data, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    d = a.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-d) for d >= 0 and e^d / (1 + e^d) below, with e = exp(-|d|), which never
     # overflows; min(d, -d) rather than -|d| passes a NaN on with its sign, as exp(d) did
     e = np.exp(np.minimum(d, -d))
-    out_data = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out_data = _sigmoid(a.data)
 
     def bwd(g):
         return [(a, g * out_data * (1.0 - out_data))]
@@ -547,6 +550,92 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None, mask
         return [(a, g * keep)]
 
     return _result(out_data, (a,), bwd)
+
+
+def _accumulate(total, step):
+    """``total + step``, in ``total``'s buffer; the first step starts the total."""
+    return step if total is None else np.add(total, step, out=total)
+
+
+def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: bool = False) -> Tensor:
+    """One masked LSTM direction over x (B, N, e): the hidden states (B, N, d) as one tape node.
+
+    Gates are packed i, f, g, o in w_x (e, 4d), w_h (d, 4d) and b (4d,), the cell starts
+    from zero states, and ``mask`` (B, N) is truthy at real steps: a PAD step's h and c
+    are exactly zero.  Each step makes the numpy calls the per-step ops make, on the same
+    views, and the backward sums the weight gradients step by step in the order the
+    tape's sweep does, so the values and gradients are bitwise those of the unfused ops.
+    """
+    _check_same_dtype(x, w_x, w_h, b)
+    if x.data.ndim != 3:
+        raise ValueError(f"lstm_scan needs x (B, N, e), got {x.data.shape}")
+    bsz, n, e = x.data.shape
+    if w_h.data.ndim != 2 or w_h.data.shape[1] != 4 * w_h.data.shape[0]:
+        raise ValueError(f"lstm_scan needs w_h (d, 4d), got {w_h.data.shape}")
+    d = w_h.data.shape[0]
+    if w_x.data.shape != (e, 4 * d):
+        raise ValueError(f"lstm_scan needs w_x (e, 4d) = {(e, 4 * d)} for x {x.data.shape} "
+                         f"and w_h {w_h.data.shape}, got {w_x.data.shape}")
+    if b.data.shape != (4 * d,):
+        raise ValueError(f"lstm_scan needs b (4d,) = {(4 * d,)} for w_h {w_h.data.shape}, got {b.data.shape}")
+    mask = np.asarray(mask)
+    if mask.shape != (bsz, n):
+        raise ValueError(f"lstm_scan needs mask (B, N) = {(bsz, n)} for x {x.data.shape}, got {mask.shape}")
+
+    xs, wx, wh, bias = x.data, w_x.data, w_h.data, b.data
+    dtype = xs.dtype
+    track = _grad_enabled and any(p.requires_grad for p in (x, w_x, w_h, b))
+    h = np.zeros((bsz, d), dtype=dtype)
+    c = np.zeros((bsz, d), dtype=dtype)
+    out_data = np.empty((bsz, n, d), dtype=dtype)
+    saved = []  # per step, in forward order: what the backward reads
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        x_t = xs[:, t : t + 1, :].reshape(bsz, e)
+        m_t = mask[:, t : t + 1].astype(dtype)
+        pre = (x_t @ wx + h @ wh) + bias
+        act = _sigmoid(pre)  # i, f and o; the g slice is replaced by its tanh
+        act[:, 2 * d : 3 * d] = np.tanh(pre[:, 2 * d : 3 * d])
+        i, f, g, o = act[:, :d], act[:, d : 2 * d], act[:, 2 * d : 3 * d], act[:, 3 * d :]
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        if track:
+            saved.append((t, x_t, m_t, h, c, act, tanh_c))
+        h = (o * tanh_c) * m_t  # PAD steps stay exactly zero
+        c = c_new * m_t
+        out_data[:, t, :] = h
+
+    def bwd(g_out):
+        dx = np.empty_like(xs) if x.requires_grad else None
+        dw_x = dw_h = db = None
+        dh = dc = None  # what reaches the masked h and c of a step from the step after it
+        while saved:  # last step first, each step's arrays dropped once used
+            t, x_t, m_t, h_prev, c_prev, act, tanh_c = saved.pop()
+            i, f, g, o = act[:, :d], act[:, d : 2 * d], act[:, 2 * d : 3 * d], act[:, 3 * d :]
+            dh_new = (g_out[:, t, :] if dh is None else g_out[:, t, :] + dh) * m_t
+            dc_new = (dh_new * o) * (1.0 - tanh_c * tanh_c)
+            if dc is not None:
+                dc_new = dc * m_t + dc_new
+            d_act = np.empty_like(act)
+            d_act[:, :d] = dc_new * g
+            d_act[:, d : 2 * d] = dc_new * c_prev
+            d_act[:, 2 * d : 3 * d] = dc_new * i
+            d_act[:, 3 * d :] = dh_new * tanh_c
+            d_pre = (d_act * act) * (1.0 - act)
+            d_pre[:, 2 * d : 3 * d] = d_act[:, 2 * d : 3 * d] * (1.0 - g * g)
+            if dx is not None:
+                dx[:, t, :] = d_pre @ np.swapaxes(wx, -1, -2)
+            if w_x.requires_grad:
+                dw_x = _accumulate(dw_x, np.swapaxes(x_t, -1, -2) @ d_pre)
+            if w_h.requires_grad:
+                dw_h = _accumulate(dw_h, np.swapaxes(h_prev, -1, -2) @ d_pre)
+            if b.requires_grad:
+                db = _accumulate(db, d_pre.sum(axis=(0,)))
+            if saved:  # the first step's zero start states take no gradient
+                dh = d_pre @ np.swapaxes(wh, -1, -2)
+                dc = dc_new * f
+        return [(p, grad) for p, grad in ((x, dx), (w_x, dw_x), (w_h, dw_h), (b, db)) if grad is not None]
+
+    return _result(out_data, (x, w_x, w_h, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qatip import tensor as T
+from qatip.attention import length_mask
 from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads, perturb_params
 from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, bilstm_encode, qa_attention, selective_gate
@@ -139,6 +140,49 @@ def test_bilstm_summary_matches_quoted_construction():
     assert np.allclose(summary.data[0, :d], h_seq.data[0, 1, :d], atol=1e-12)
     assert np.allclose(summary.data[0, d:], h_seq.data[0, 0, d:], atol=1e-12)
     assert np.allclose(summary.data[1, :d], h_seq.data[1, 3, :d], atol=1e-12)
+
+
+def _composite_scan(cell: LstmCell, emb: Tensor, mask: np.ndarray, reverse: bool) -> Tensor:
+    """The per-step ops lstm_scan fuses: LstmCell.step, masked, then the states concatenated."""
+    b, n, e = emb.shape
+    h = Tensor(np.zeros((b, cell.hidden), dtype=emb.dtype))
+    c = Tensor(np.zeros((b, cell.hidden), dtype=emb.dtype))
+    states = [None] * n
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        m_t = Tensor(mask[:, t : t + 1].astype(emb.dtype))
+        h_new, c_new = cell.step(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e)), h, c)
+        h, c = T.mul(h_new, m_t), T.mul(c_new, m_t)
+        states[t] = T.reshape(h, (b, 1, cell.hidden))
+    return T.concat(states, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("b, e, d", [(4, 5, 3), (7, 24, 16)])
+def test_lstm_scan_is_bitwise_the_per_step_ops(dtype, reverse, b, e, d):
+    rng = np.random.default_rng(40 + b)
+    store = ParamStore(rng, dtype=dtype)
+    cell = LstmCell(store, "cell", e, d)
+    for par in store.parameters():  # a generic point: biases away from their init
+        par.tensor.data += (0.3 * rng.standard_normal(par.tensor.shape)).astype(dtype)
+    lengths = [6, 1] + list(rng.integers(1, 7, size=b - 2))  # a full row and a length-1 row
+    mask = length_mask(lengths, 6)
+    emb = Tensor(rng.standard_normal((b, 6, e)), requires_grad=True, dtype=dtype)
+    probe = Tensor(rng.standard_normal((b, 6, d)), dtype=dtype)
+    runs = []
+    for scan in (lambda: _composite_scan(cell, emb, mask, reverse),
+                 lambda: T.lstm_scan(emb, cell.w_x, cell.w_h, cell.b, mask, reverse=reverse)):
+        for t in (emb, cell.w_x, cell.w_h, cell.b):
+            t.zero_grad()
+        out = scan()
+        T.backward(T.sum_all(T.mul(out, probe)))
+        runs.append([out.data] + [t.grad for t in (emb, cell.w_x, cell.w_h, cell.b)])
+    for name, ref, got in zip(["h", "x", "w_x", "w_h", "b"], *runs):
+        assert got.dtype == dtype and np.array_equal(ref, got), name
+    assert np.all(runs[1][0][np.asarray(lengths) == 1, 1:] == 0.0)  # PAD steps stay zero
+    with T.no_grad():
+        out = T.lstm_scan(emb, cell.w_x, cell.w_h, cell.b, mask, reverse=reverse)
+    assert not out.requires_grad and out._backward is None and np.array_equal(out.data, runs[1][0])
 
 
 def test_gate_zero_params_halve_states():

@@ -148,6 +148,20 @@ def test_linear_rejects_bad_operands(x_shape, w_shape, b_shape, w_dtype, b_dtype
         T.linear(x, w, b)
 
 
+@pytest.mark.parametrize("x_shape, w_x_shape, w_h_shape, b_shape, mask_shape, b_dtype, error, match", [
+    ((2, 5), (5, 12), (3, 12), (12,), (2, 5), np.float64, ValueError, r"x \(B, N, e\), got \(2, 5\)"),
+    ((2, 5, 4), (3, 12), (3, 12), (12,), (2, 5), np.float64, ValueError, r"w_x .* \(4, 12\) .* got \(3, 12\)"),
+    ((2, 5, 4), (4, 12), (3, 8), (12,), (2, 5), np.float64, ValueError, r"w_h \(d, 4d\), got \(3, 8\)"),
+    ((2, 5, 4), (4, 12), (3, 12), (3, 4), (2, 5), np.float64, ValueError, r"b .* \(12,\) .* got \(3, 4\)"),
+    ((2, 5, 4), (4, 12), (3, 12), (12,), (5, 2), np.float64, ValueError, r"mask .* \(2, 5\) .* got \(5, 2\)"),
+    ((2, 5, 4), (4, 12), (3, 12), (12,), (2, 5), np.float32, TypeError, "mixed"),
+])
+def test_lstm_scan_rejects_bad_operands(x_shape, w_x_shape, w_h_shape, b_shape, mask_shape, b_dtype, error, match):
+    operands = [Tensor(np.zeros(shape), dtype=np.float64) for shape in (x_shape, w_x_shape, w_h_shape)]
+    with pytest.raises(error, match=match):
+        T.lstm_scan(*operands, Tensor(np.zeros(b_shape), dtype=b_dtype), np.ones(mask_shape, dtype=bool))
+
+
 def _linear_and_grads(op, x, w, b, probe):
     for t in (x, w, b):
         t.zero_grad()
