@@ -45,13 +45,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
 
     q is (..., A, d_k), k is (..., N, d_k), v is (..., N, d_v); mask broadcasts
     to (..., A, N) with True marking attendable entries.  Returns (context,
-    weights); masked weights are exactly zero.
+    weights); masked weights are exactly zero.  One ``tensor.attention`` node:
+    the weights are data only, and no gradient flows back through them.
     """
-    d_k = q.shape[-1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_k))
-    weights = T.softmax_rows(scores, mask=mask)
-    context = T.matmul(weights, v)
-    return context, weights
+    return T.attention(q, k, v, mask=mask)
 
 
 @dataclass

@@ -334,14 +334,56 @@ def relu(a: Tensor) -> Tensor:
     return _result(out_data, (a,), bwd)
 
 
-def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stochastic softmax over the last axis.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise ``relu(x w1 + b1) w2 + b2`` of x (..., d) as one tape node.
 
-    ``mask`` marks valid positions (True = keep); masked scores are pinned to
-    -1e9 before the stabilized softmax and the corresponding outputs are
-    exactly zero.  A fully masked row is an error.
+    w1 is (d, f), b1 (f,), w2 (f, k) and b2 (k,).  Besides its inputs the
+    node keeps only the ReLU output, computed in place over the
+    pre-activation, and its backward rebuilds the ReLU mask as
+    ``hidden > 0``, which equals ``pre > 0`` everywhere (NaN included).  It
+    makes the numpy calls of ``linear``, ``relu``, ``linear`` composed, so
+    values and gradients are bitwise theirs.
     """
-    d = a.data
+    _check_same_dtype(x, w1, b1, w2, b2)
+    if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1] != w1.data.shape[0]
+            or w2.data.shape[0] != w1.data.shape[1] or b1.data.shape != w1.data.shape[1:]
+            or b2.data.shape != w2.data.shape[1:]):
+        raise ValueError(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, k) and b2 (k,), got "
+                         f"x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
+                         f"w2 {w2.data.shape}, b2 {b2.data.shape}")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    pre2 = x2 @ w1.data
+    pre2 += b1.data
+    hidden = pre2.reshape(x.data.shape[:-1] + w1.data.shape[1:])
+    np.maximum(hidden, 0, out=hidden)
+    h2 = hidden.reshape(-1, hidden.shape[-1])
+    out2 = h2 @ w2.data
+    out2 += b2.data
+    out_data = out2.reshape(x.data.shape[:-1] + w2.data.shape[1:])
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        pairs = []
+        if w2.requires_grad:
+            pairs.append((w2, h2.T @ g2))
+        if b2.requires_grad:
+            pairs.append((b2, g2.sum(axis=0)))
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            d_pre = (g2 @ w2.data.T).reshape(hidden.shape) * (hidden > 0)
+            d_pre2 = d_pre.reshape(-1, d_pre.shape[-1])
+            if x.requires_grad:
+                pairs.append((x, (d_pre2 @ w1.data.T).reshape(x.data.shape)))
+            if w1.requires_grad:
+                pairs.append((w1, x2.T @ d_pre2))
+            if b1.requires_grad:
+                pairs.append((b1, d_pre2.sum(axis=0)))
+        return pairs
+
+    return _result(out_data, (x, w1, b1, w2, b2), bwd)
+
+
+def _softmax_rows(d: np.ndarray, mask) -> np.ndarray:
+    """The forward of ``softmax_rows`` on an array (see there)."""
     if d.shape[-1] < 1:
         raise ValueError("softmax needs at least one column")
     if mask is not None:
@@ -357,12 +399,83 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     out_data = ex / ex.sum(axis=-1, keepdims=True)
     if m is not None:
         out_data = out_data * m
+    return out_data
+
+
+def _softmax_rows_grad(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * out_data).sum(axis=-1, keepdims=True)
+    return out_data * (g - inner)
+
+
+def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-stochastic softmax over the last axis.
+
+    ``mask`` marks valid positions (True = keep); masked scores are pinned to
+    -1e9 before the stabilized softmax and the corresponding outputs are
+    exactly zero.  A fully masked row is an error.
+    """
+    out_data = _softmax_rows(a.data, mask)
 
     def bwd(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return [(a, out_data * (g - inner))]
+        return [(a, _softmax_rows_grad(out_data, g))]
 
     return _result(out_data, (a,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None):
+    """Scaled dot-product attention ``softmax(q kT / sqrt(d_k), mask) v`` as one tape node.
+
+    q is (..., A, d_k), k is (..., N, d_k) and v is (..., N, d_v); leading
+    axes broadcast, and ``mask`` broadcasts to the scores (..., A, N) with
+    True marking attendable entries (``softmax_rows`` semantics: masked
+    weights are exactly zero, a fully masked row is an error).  Returns
+    (context (..., A, d_v), weights (..., A, N)).  The weights are data only,
+    a Tensor outside the tape: no gradient flows back through them.
+
+    The node saves only the weights for its backward; the raw and scaled
+    scores are freed in the forward.  It makes the numpy calls of ``matmul``,
+    ``transpose``, ``scale`` and ``softmax_rows`` composed, on the same views,
+    forward and backward, so values and gradients are bitwise theirs, and the
+    sweep reaches its parents (q, k, v) in the order it reaches them through
+    that chain.
+    """
+    _check_same_dtype(q, k, v)
+    qd, kd, vd = q.data, k.data, v.data
+    if min(qd.ndim, kd.ndim, vd.ndim) < 2 or qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
+        raise ValueError(f"attention needs q (..., A, d_k), k (..., N, d_k) and v (..., N, d_v), "
+                         f"got q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    try:
+        scores_shape = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2]) + (qd.shape[-2], kd.shape[-2])
+        np.broadcast_shapes(scores_shape[:-2], vd.shape[:-2])
+    except ValueError:
+        raise ValueError(f"attention's leading axes do not broadcast: q {qd.shape}, k {kd.shape}, "
+                         f"v {vd.shape}") from None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        try:
+            np.broadcast_to(mask, scores_shape)
+        except ValueError:
+            raise ValueError(f"attention mask {mask.shape} does not broadcast to the scores (..., A, N) "
+                             f"= {scores_shape} of q {qd.shape} and k {kd.shape}") from None
+    kt = np.swapaxes(kd, -2, -1)
+    c = np.array(float(1.0 / np.sqrt(qd.shape[-1])), dtype=qd.dtype)
+    probs = _softmax_rows((qd @ kt) * c, mask)
+    out_data = probs @ vd
+
+    def bwd(g):
+        pairs = []
+        if v.requires_grad:
+            pairs.append((v, _unbroadcast(np.swapaxes(probs, -1, -2) @ g, vd.shape)))
+        if q.requires_grad or k.requires_grad:
+            g_probs = _unbroadcast(g @ np.swapaxes(vd, -1, -2), probs.shape)
+            g_scores = _softmax_rows_grad(probs, g_probs) * c
+            if q.requires_grad:
+                pairs.append((q, _unbroadcast(g_scores @ np.swapaxes(kt, -1, -2), qd.shape)))
+            if k.requires_grad:
+                pairs.append((k, np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_scores, kt.shape), -2, -1)))
+        return pairs
+
+    return _result(out_data, (q, k, v), bwd), Tensor(probs)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -532,8 +645,9 @@ def nll_loss(logits: Tensor, targets, pad_mask=None) -> Tensor:
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None, mask: np.ndarray | None = None) -> Tensor:
     """Inverted dropout; identity when rate is 0.
 
-    Pass ``mask`` (precomputed keep mask) to replay a fixed pattern, e.g. for
-    gradient checking.
+    Pass ``mask`` (a boolean keep mask of ``a``'s shape) to replay a fixed
+    pattern, e.g. for gradient checking.  The node keeps the boolean mask and
+    rebuilds its scaled float form in the backward.
     """
     if rate <= 0.0:
         return a
@@ -543,11 +657,19 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None, mask
         if rng is None:
             raise ValueError("dropout needs an rng or an explicit mask")
         mask = rng.random(a.data.shape) >= rate
-    keep = mask.astype(a.data.dtype) / np.array(1.0 - rate, dtype=a.data.dtype)
-    out_data = a.data * keep
+    else:
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != a.data.shape:
+            raise ValueError(f"dropout mask must be boolean with the input's shape {a.data.shape}, "
+                             f"got {mask.dtype.name} {mask.shape}")
+
+    def keep():  # the scaled float mask, built anew when needed rather than kept
+        return mask.astype(a.data.dtype) / np.array(1.0 - rate, dtype=a.data.dtype)
+
+    out_data = a.data * keep()
 
     def bwd(g):
-        return [(a, g * keep)]
+        return [(a, g * keep())]
 
     return _result(out_data, (a,), bwd)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import time
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ class EpochStats:
     tokens_per_s: float  # target tip tokens the loss counted, per training second
     grad_norm_mean: float  # pre-clip global gradient norm over the epoch's steps
     grad_norm_max: float
+    peak_rss_mb: float  # the process's peak resident memory at the epoch's end
 
     def record(self) -> str:
         return json.dumps(
@@ -42,6 +44,7 @@ class EpochStats:
                 "tokens_per_s": round(self.tokens_per_s, 1),
                 "grad_norm_mean": round(self.grad_norm_mean, 6),
                 "grad_norm_max": round(self.grad_norm_max, 6),
+                "peak_rss_mb": round(self.peak_rss_mb, 1),
             }
         )
 
@@ -126,6 +129,7 @@ def train_model(
             tokens_per_s=tokens / train_seconds,
             grad_norm_mean=sum(norms) / max(1, len(norms)),
             grad_norm_max=max(norms, default=0.0),
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
         )
         history.append(stats)
         if log is not None:

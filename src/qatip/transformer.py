@@ -153,8 +153,7 @@ class QaTransformerModel(Seq2Seq):
         return T.layer_norm(T.add(x, self._dropout(out, train)), gain, bias)
 
     def _ffn(self, blk: _Block, x: Tensor) -> Tensor:
-        hidden = T.relu(T.linear(x, blk.w1, blk.b1))
-        return T.linear(hidden, blk.w2, blk.b2)
+        return T.feed_forward(x, blk.w1, blk.b1, blk.w2, blk.b2)
 
     def _run_block(self, blk: _Block, x: Tensor, kv: Tensor, mask, train: bool) -> Tensor:
         attn, _ = multi_head(blk.mh, x, kv, kv, mask=mask)

@@ -192,3 +192,66 @@ def test_attention_gradients_flow():
     assert x.grad is not None and np.abs(x.grad).max() > 0
     for p in store.parameters():
         assert p.tensor.grad is not None
+
+
+def _chain_attention(q, k, v, mask):
+    """The primitive ops tensor.attention fuses, as scaled_dot_attention composed them."""
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    weights = T.softmax_rows(scores, mask=mask)
+    return T.matmul(weights, v), weights
+
+
+def _heads(rng, b, n, h, d, dtype):
+    # a (B, h, N, d/h) view of a (B, N, h, d/h) array, the layout _split_heads hands on
+    return Tensor(np.swapaxes(rng.standard_normal((b, n, h, d)).astype(dtype), 1, 2), requires_grad=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case, a_len, n", [
+    ("none", 6, 6), ("key_padding", 5, 7), ("causal", 6, 6), ("decode", 1, 7), ("decode_key_padding", 1, 7),
+])
+def test_attention_is_bitwise_the_primitive_chain(dtype, case, a_len, n):
+    rng = np.random.default_rng(60 + a_len + n)
+    b, h, d_k, d_v = 3, 2, 3, 5  # 1/sqrt(3) rounds, so scaling before or after the product differs
+    q, k, v = _heads(rng, b, a_len, h, d_k, dtype), _heads(rng, b, n, h, d_k, dtype), _heads(rng, b, n, h, d_v, dtype)
+    mask = {"causal": causal_mask(n)[None, None],
+            "key_padding": length_mask([n, 1, 4], n)[:, None, None, :],
+            "decode_key_padding": length_mask([n, 1, 4], n)[:, None, None, :]}.get(case)
+    probe = Tensor(rng.standard_normal((b, h, a_len, d_v)), dtype=dtype)
+    runs = []
+    for attend in (_chain_attention, T.attention):
+        for t in (q, k, v):
+            t.zero_grad()
+        context, weights = attend(q, k, v, mask)
+        backward(T.sum_all(T.mul(context, probe)))
+        runs.append([context.data, weights.data, q.grad, k.grad, v.grad])
+    for name, ref, got in zip(["context", "weights", "q", "k", "v"], *runs):
+        assert got.dtype == dtype and np.array_equal(ref, got), name
+    if mask is not None:
+        assert np.all(runs[1][1][~np.broadcast_to(mask, runs[1][1].shape)] == 0.0)
+    assert not weights.requires_grad and weights._backward is None  # data only
+    with T.no_grad():
+        context, _ = T.attention(q, k, v, mask)
+    assert not context.requires_grad and context._backward is None and np.array_equal(context.data, runs[1][0])
+
+
+@pytest.mark.parametrize("q_shape, k_shape, v_shape, mask_shape, match", [
+    ((2, 3, 4), (2, 5, 3), (2, 5, 4), None, r"q \(2, 3, 4\), k \(2, 5, 3\), v \(2, 5, 4\)"),
+    ((2, 3, 4), (2, 5, 4), (2, 6, 4), None, r"q \(2, 3, 4\), k \(2, 5, 4\), v \(2, 6, 4\)"),
+    ((4,), (5, 4), (5, 4), None, r"q \(4,\)"),
+    ((2, 3, 4), (3, 5, 4), (3, 5, 4), None, "leading axes do not broadcast"),
+    ((2, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 4), r"mask \(2, 3, 4\) does not broadcast .* \(2, 3, 5\)"),
+    ((2, 3, 4), (2, 5, 4), (2, 5, 4), (3, 1, 5), r"mask \(3, 1, 5\) does not broadcast"),
+])
+def test_attention_rejects_bad_operands(q_shape, k_shape, v_shape, mask_shape, match):
+    mask = None if mask_shape is None else np.ones(mask_shape, dtype=bool)
+    with pytest.raises(ValueError, match=match):
+        T.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), mask=mask)
+
+
+def test_attention_fully_masked_row_rejected():
+    mask = np.ones((2, 3, 5), dtype=bool)
+    mask[1, 2] = False
+    with pytest.raises(ValueError, match="softmax row is fully masked"):
+        T.attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 5, 4))),
+                    mask=mask)

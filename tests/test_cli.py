@@ -69,7 +69,7 @@ def test_train_logs_epoch_records(workdir, capsys, tmp_path):
     assert [e["epoch"] for e in epochs] == [0, 1]
     for e in epochs:
         assert set(e) == {"epoch", "train_loss", "valid_loss", "seconds", "steps",
-                          "tokens_per_s", "grad_norm_mean", "grad_norm_max"}
+                          "tokens_per_s", "grad_norm_mean", "grad_norm_max", "peak_rss_mb"}
     tail = json.loads(lines[-1])
     assert os.path.exists(tail["final_checkpoint"])
     assert os.path.exists(tail["best_checkpoint"])

@@ -206,6 +206,50 @@ def test_linear_equals_matmul_plus_add(lead, d, k, bias, transposed, seed):
         assert rel_error(g, r) <= 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_feed_forward_is_bitwise_linear_relu_linear(dtype, with_nan):
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True, dtype=dtype)
+    w1, w2 = (Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype) for shape in ((4, 8), (8, 4)))
+    b1, b2 = (Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype) for shape in ((8,), (4,)))
+    x.data[0, 0] = 0.0  # with b1's zero entries, exact-zero pre-activations
+    b1.data[:3] = 0.0
+    if with_nan:
+        x.data[2, 4, 1] = np.nan
+    pre = x.data @ w1.data + b1.data
+    assert (pre == 0.0).any() and (pre < 0.0).any() and (pre > 0.0).any()
+    probe = Tensor(rng.standard_normal((3, 5, 4)), dtype=dtype)
+    params = (x, w1, b1, w2, b2)
+    runs = []
+    for ffn in (lambda: T.linear(T.relu(T.linear(x, w1, b1)), w2, b2), lambda: T.feed_forward(*params)):
+        for t in params:
+            t.zero_grad()
+        with np.errstate(invalid="ignore"):
+            out = ffn()
+            backward(T.sum_all(T.mul(out, probe)))
+        runs.append([out.data] + [t.grad for t in params])
+    for name, ref, got in zip(["out", "x", "w1", "b1", "w2", "b2"], *runs):
+        assert got.dtype == dtype and np.array_equal(ref, got, equal_nan=with_nan), name
+    assert np.isnan(runs[1][0]).any() == with_nan
+    with T.no_grad():
+        out = T.feed_forward(*params)
+    assert not out.requires_grad and out._backward is None
+    assert np.array_equal(out.data, runs[1][0], equal_nan=with_nan)
+
+
+@pytest.mark.parametrize("shapes, match", [
+    (((2, 3), (4, 8), (8,), (8, 3), (3,)), r"x \(2, 3\), w1 \(4, 8\)"),
+    (((2, 4), (4, 8), (7,), (8, 3), (3,)), r"b1 \(7,\)"),
+    (((2, 4), (4, 8), (8,), (6, 3), (3,)), r"w2 \(6, 3\)"),
+    (((2, 4), (4, 8), (8,), (8, 3), (4,)), r"b2 \(4,\)"),
+    (((2, 4), (4,), (8,), (8, 3), (3,)), r"w1 \(4,\)"),
+])
+def test_feed_forward_rejects_bad_operands(shapes, match):
+    with pytest.raises(ValueError, match=match):
+        T.feed_forward(*(Tensor(np.zeros(shape)) for shape in shapes))
+
+
 def _sigmoid_masked_reference(d):
     out = np.empty_like(d)
     pos = d >= 0
@@ -382,6 +426,35 @@ def test_dropout_scales_kept_values():
 def test_dropout_needs_randomness_source():
     with pytest.raises(ValueError, match="rng"):
         T.dropout(Tensor(np.ones(3)), 0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_dropout_grad_is_bitwise_the_stored_float_mask(dtype, explicit):
+    rate = 0.1
+    x = Tensor(np.random.default_rng(3).standard_normal((4, 6, 5)), requires_grad=True, dtype=dtype)
+    probe = Tensor(np.random.default_rng(4).standard_normal(x.shape), dtype=dtype)
+    keep = np.random.default_rng(5).random(x.shape) >= rate
+    if explicit:
+        out = T.dropout(x, rate, mask=keep)
+    else:
+        out = T.dropout(x, rate, rng=np.random.default_rng(5))
+    backward(T.sum_all(T.mul(out, probe)))
+    stored = keep.astype(dtype) / np.array(1.0 - rate, dtype=dtype)  # what the node used to keep
+    assert out.data.dtype == x.grad.dtype == dtype
+    assert np.array_equal(out.data, x.data * stored)
+    assert np.array_equal(x.grad, probe.data * stored)
+
+
+@pytest.mark.parametrize("mask, match", [
+    (np.ones((2, 3, 4), dtype=bool), r"input's shape \(3, 4\), got bool \(2, 3, 4\)"),
+    (np.full((3, 4), 3, dtype=np.int64), r"input's shape \(3, 4\), got int64 \(3, 4\)"),
+    (np.ones((3, 4)), r"got float64 \(3, 4\)"),
+    (np.ones(4, dtype=bool), r"got bool \(4,\)"),
+])
+def test_dropout_rejects_a_mask_that_is_not_a_boolean_of_the_input_shape(mask, match):
+    with pytest.raises(ValueError, match=match):
+        T.dropout(Tensor(np.ones((3, 4))), 0.5, mask=mask)
 
 
 def test_unbroadcast_bias_grad():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -99,10 +100,10 @@ def test_best_checkpoint_tracks_valid_loss(tmp_path):
 
 def test_epoch_record_format():
     stats = EpochStats(epoch=3, train_loss=1.25, valid_loss=1.5, seconds=0.75, steps=4,
-                       tokens_per_s=1234.5, grad_norm_mean=2.5, grad_norm_max=6.0)
+                       tokens_per_s=1234.5, grad_norm_mean=2.5, grad_norm_max=6.0, peak_rss_mb=247.93)
     rec = json.loads(stats.record())
     assert rec == {"epoch": 3, "train_loss": 1.25, "valid_loss": 1.5, "seconds": 0.75, "steps": 4,
-                   "tokens_per_s": 1234.5, "grad_norm_mean": 2.5, "grad_norm_max": 6.0}
+                   "tokens_per_s": 1234.5, "grad_norm_mean": 2.5, "grad_norm_max": 6.0, "peak_rss_mb": 247.9}
 
 
 def test_epoch_records_count_steps_tokens_and_grad_norms(monkeypatch):
@@ -125,6 +126,8 @@ def test_epoch_records_count_steps_tokens_and_grad_norms(monkeypatch):
         assert stats.grad_norm_max == max(mine)
         # training time excludes the validation pass that ``seconds`` includes
         assert tokens / stats.seconds <= stats.tokens_per_s < math.inf
+    peaks = [stats.peak_rss_mb for stats in result.history]
+    assert 0 < peaks[0] <= peaks[1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def test_mean_loss_matches_manual():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qatip import attention
 from qatip import tensor as T
 from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads
@@ -217,3 +218,81 @@ def test_parameter_gradients_match_finite_differences():
     params = {p.name: p.tensor for p in model.params.parameters()}
     err = check_grads(params, lambda: model.forward_loss(batch))
     assert err < 1e-3, f"worst relative error {err:.2e}"
+
+
+def _retained_buffers(loss):
+    """The ndarrays the tape behind ``loss`` keeps alive, once per base buffer.
+
+    That is every node's data and every array its backward closure captured
+    (directly, in a list or tuple, or in a function it calls); views count as
+    the buffer they view.
+    """
+    buffers, seen = {}, set()  # seen: the ids of the nodes and functions walked
+
+    def keep(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                keep(item)
+        elif getattr(value, "__closure__", None) and id(value) not in seen:
+            seen.add(id(value))
+            for cell in value.__closure__:
+                keep(cell.cell_contents)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            buffers[id(value)] = value
+
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        keep(node.data)
+        keep(node._backward)
+        stack.extend(node._parents)
+    return list(buffers.values())
+
+
+def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypatch):
+    # head width 8 and ffn width 24 differ from every length (review 5, query 3, tip input 4)
+    cfg = tiny_config(model_dim=16, num_heads=2, ffn_dim=24, dropout=0.25)
+    model = QaTransformerModel(cfg, seed=3)
+    rng = np.random.default_rng(4)
+
+    def ids(n):
+        return tuple(int(x) for x in rng.integers(4, 13, size=n))
+
+    batch = make_batch([Triplet(ids(5), ids(3), (1,) + ids(3) + (2,), "", "", "", "a"),
+                        Triplet(ids(4), ids(2), (1,) + ids(2) + (2,), "", "", "", "b")])
+    score_shapes, ffn_calls = [], []
+    attend, ffn = attention.scaled_dot_attention, QaTransformerModel._ffn
+
+    def counted_attend(q, k, v, mask=None):
+        score_shapes.append(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + (q.shape[-2], k.shape[-2]))
+        return attend(q, k, v, mask=mask)
+
+    def counted_ffn(self, blk, x):
+        ffn_calls.append(x.shape)
+        return ffn(self, blk, x)
+
+    monkeypatch.setattr(attention, "scaled_dot_attention", counted_attend)
+    monkeypatch.setattr(QaTransformerModel, "_ffn", counted_ffn)
+    loss = model.forward_loss(batch, train=True)
+    buffers = _retained_buffers(loss)
+
+    # review block + query block + 2 encoder layers + 2 x (self, cross) in the decoder
+    assert len(score_shapes) == 8 and all(shape[:2] == (2, 2) for shape in score_shapes)
+    kept = sorted(b.shape for b in buffers if b.shape in set(score_shapes))
+    assert kept == sorted(score_shapes)  # the weights alone, not the raw and scaled scores
+
+    params = {id(p.tensor.data) for p in model.params.parameters()}
+    wide = [b for b in buffers if b.shape[-1:] == (24,) and id(b) not in params]
+    assert len(ffn_calls) == 6 and len(wide) == len(ffn_calls)
+    assert all(b.min() >= 0.0 for b in wide)  # the ReLU outputs, not the pre-activations
+
+    scale = np.float32(1.0) / np.float32(0.75)
+    float_masks = [b for b in buffers if b.dtype == np.float32 and (b == scale).any()
+                   and np.isin(b, [0.0, scale]).all()]
+    assert not float_masks  # dropout keeps its boolean keep mask
+    assert any(b.dtype == bool for b in buffers)
