@@ -132,25 +132,36 @@ def _parse_header(blob: bytes) -> tuple[dict, bytes]:
 
 
 def _validate_manifest(manifest, payload_len: int) -> None:
+    """Each entry is well typed, and the entries tile the payload in order, as ``save_checkpoint`` writes them."""
     if not isinstance(manifest, list):
         raise CheckpointError("manifest is not a list")
-    total = 0
+    total = 0  # where the entries so far end: the next entry's offset
     for entry in manifest:
         for key in ("name", "shape", "offset", "len"):
             if not isinstance(entry, dict) or key not in entry:
                 raise CheckpointError(f"manifest entry missing field {key}")
-        name, shape = entry["name"], entry["shape"]
-        expect = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        if entry["len"] != expect:
+        name, shape, offset, length = entry["name"], entry["shape"], entry["offset"], entry["len"]
+        if not isinstance(name, str):
+            raise CheckpointError(f"manifest entry name must be a string, got {name!r}")
+        if not isinstance(shape, list) or any(json_type_mismatch("int", n) or n < 0 for n in shape):
+            raise CheckpointError(f"manifest entry {name}: shape must be a list of sizes, got {shape!r}")
+        for key, value in (("offset", offset), ("len", length)):
+            if json_type_mismatch("int", value):
+                raise CheckpointError(f"manifest entry {name}: {key} must be an integer, got {value!r}")
+        if length != 4 * math.prod(shape):
             raise CheckpointError(
-                f"manifest entry {name}: len {entry['len']} does not match shape {shape}"
+                f"manifest entry {name}: len {length} does not match shape {shape}"
             )
-        if entry["offset"] < 0 or entry["offset"] + entry["len"] > payload_len:
+        if offset != total:
             raise CheckpointError(
-                f"manifest entry {name}: offset {entry['offset']} len {entry['len']} "
+                f"manifest entry {name}: offset {offset} is not {total}, where the entries before it end"
+            )
+        if offset + length > payload_len:
+            raise CheckpointError(
+                f"manifest entry {name}: offset {offset} len {length} "
                 f"outside payload of {payload_len} bytes"
             )
-        total += entry["len"]
+        total += length
     if total != payload_len:
         raise CheckpointError(
             f"payload has {payload_len} bytes but manifest expects {total}"

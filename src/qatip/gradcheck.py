@@ -330,6 +330,21 @@ def _check_feed_forward(rng, h=STEP):
     return check_grads({"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}, loss, h)
 
 
+def _check_residual_norm(rng, h=STEP):
+    x, out = _randn(rng, (2, 3, 6)), _randn(rng, (2, 3, 6))
+    gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True, dtype=np.float64)
+    bias = _randn(rng, (6,))
+    probe = rng.standard_normal((2, 3, 6))
+    mask_seed = int(rng.integers(2**31))
+
+    def loss():
+        # a generator in one state on every forward draws one keep mask
+        y = T.residual_norm(x, out, gain, bias, 0.25, np.random.default_rng(mask_seed))
+        return T.sum_all(T.mul(y, Tensor(probe, dtype=np.float64)))
+
+    return check_grads({"x": x, "out": out, "gain": gain, "bias": bias}, loss, h)
+
+
 OP_CHECKS = {
     "matmul": _check_matmul,
     "transpose": _check_transpose,
@@ -353,6 +368,7 @@ OP_CHECKS = {
     "attention_masked": _check_attention,
     "attention": _check_attention_unmasked,
     "feed_forward": _check_feed_forward,
+    "residual_norm": _check_residual_norm,
 }
 
 

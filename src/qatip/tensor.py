@@ -8,6 +8,9 @@ tensor (the caller zeroes grads between steps).  The sweep releases the
 graph as it goes: each node it passes drops its parents and its closure, so
 activations and gradient copies are freed at once, and only the nodes the
 caller still holds (parameters, a kept intermediate) keep their ``.grad``.
+A leaf's ``.grad`` is its own writable array; a kept intermediate's is the
+gradient array as it flowed, which may be read-only or shared with another
+intermediate's ``.grad``.
 A swept graph cannot be swept again.  Forward data is never mutated by the
 backward pass.
 
@@ -125,7 +128,10 @@ def backward(loss: Tensor) -> None:
     ``.grad`` slots, so a freshly built loss swept without zeroing first
     adds to the gradients already there.  The sweep releases each node it
     passes: its parents and closure are dropped, so only the nodes the
-    caller holds keep their ``.grad``.  Reaching a released node (a second
+    caller holds keep their ``.grad``.  A leaf's ``.grad`` owns its buffer,
+    since later sweeps add to it in place; an intermediate's is not copied
+    and is to be read only: it may be a read-only broadcast view, or share
+    memory with a sibling's ``.grad``.  Reaching a released node (a second
     ``backward`` on the same loss, or a loss built on a swept intermediate)
     raises ``RuntimeError`` before any gradient changes.
     """
@@ -165,7 +171,10 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node.grad is None:
-            node.grad = np.array(g, dtype=node.data.dtype, copy=True)
+            # a leaf's slot is accumulated into by later sweeps, so it owns its buffer; a swept
+            # intermediate is released and never accumulated into again, so it may share ``g``
+            node.grad = (np.array(g, dtype=node.data.dtype, copy=True) if node_backward is None
+                         else np.asarray(g, dtype=node.data.dtype))
         else:
             node.grad += g
         if node_backward is None:
@@ -478,32 +487,87 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None):
     return _result(out_data, (q, k, v), bwd), Tensor(probs)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    _check_same_dtype(a, gain, bias)
-    d = a.data
-    n = d.shape[-1]
+_NORM_EPS = 1e-5  # layer_norm's default, and the only eps residual_norm uses
+
+
+def _layer_norm(d: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """The forward of ``layer_norm`` on arrays: (output, xhat, inv), the last two what its backward reads."""
     mu = d.mean(axis=-1, keepdims=True)
     xc = d - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.array(eps, dtype=d.dtype))
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, bias: Tensor,
+                     input_grad: bool):
+    """The backward of ``_layer_norm``: d input (None unless ``input_grad``) and the gain and bias pairs."""
+    d_input = None
+    if input_grad:
+        dxhat = g * gain.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        d_input = inv * term
+    pairs = []
+    reduce_axes = tuple(range(g.ndim - 1))
+    if gain.requires_grad:
+        pairs.append((gain, _unbroadcast((g * xhat).sum(axis=reduce_axes), gain.data.shape)))
+    if bias.requires_grad:
+        pairs.append((bias, _unbroadcast(g.sum(axis=reduce_axes), bias.data.shape)))
+    return d_input, pairs
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    _check_same_dtype(a, gain, bias)
+    out_data, xhat, inv = _layer_norm(a.data, gain.data, bias.data, eps)
 
     def bwd(g):
-        pairs = []
-        if a.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            pairs.append((a, inv * term))
-        reduce_axes = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            pairs.append((gain, _unbroadcast((g * xhat).sum(axis=reduce_axes), gain.data.shape)))
-        if bias.requires_grad:
-            pairs.append((bias, _unbroadcast(g.sum(axis=reduce_axes), bias.data.shape)))
-        return pairs
+        d_a, pairs = _layer_norm_grad(g, xhat, inv, gain, bias, a.requires_grad)
+        return pairs if d_a is None else [(a, d_a), *pairs]
 
     return _result(out_data, (a, gain, bias), bwd)
+
+
+def residual_norm(x: Tensor, out: Tensor, gain: Tensor, bias: Tensor, rate: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """The post-norm residual ``layer_norm(x + dropout(out, rate))`` of x and out (..., d) as one tape node.
+
+    gain and bias are (d,).  At ``rate`` 0 nothing is dropped and ``rng`` is
+    not drawn; above it the keep mask is drawn from ``rng`` as ``dropout``
+    draws it, so the generator ends in the same state.  The node keeps only
+    the normalized rows, their inverse deviations and the boolean mask: the
+    sum and the dropped ``out`` are freed in the forward.  It makes the numpy
+    calls of ``dropout``, ``add`` and ``layer_norm`` (at its default eps)
+    composed, so values and gradients are bitwise theirs.
+    """
+    xd, od = x.data, out.data
+    if xd.shape != od.shape or xd.ndim < 1:
+        raise ValueError(f"residual_norm needs x and out of one shape (..., d), got x {xd.shape} and out {od.shape}")
+    if gain.data.shape != xd.shape[-1:] or bias.data.shape != xd.shape[-1:]:
+        raise ValueError(f"residual_norm needs gain and bias (d,) = {xd.shape[-1:]} for x {xd.shape}, "
+                         f"got gain {gain.data.shape} and bias {bias.data.shape}")
+    _check_same_dtype(x, out, gain, bias)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"residual_norm dropout rate must be in [0, 1), got {rate}")
+    mask = None
+    if rate > 0.0:
+        if rng is None:
+            raise ValueError(f"residual_norm needs an rng to drop out at rate {rate}")
+        mask = _keep_mask(rng, od.shape, rate)
+        od = od * _keep_scale(mask, rate, od.dtype)
+    out_data, xhat, inv = _layer_norm(xd + od, gain.data, bias.data, _NORM_EPS)
+
+    def bwd(g):
+        d_sum, pairs = _layer_norm_grad(g, xhat, inv, gain, bias, x.requires_grad or out.requires_grad)
+        head = []
+        if x.requires_grad:
+            head.append((x, d_sum))
+        if out.requires_grad:
+            head.append((out, d_sum if mask is None else d_sum * _keep_scale(mask, rate, out.data.dtype)))
+        return head + pairs
+
+    return _result(out_data, (x, out, gain, bias), bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -656,22 +720,28 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None, mask
     if mask is None:
         if rng is None:
             raise ValueError("dropout needs an rng or an explicit mask")
-        mask = rng.random(a.data.shape) >= rate
+        mask = _keep_mask(rng, a.data.shape, rate)
     else:
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != a.data.shape:
             raise ValueError(f"dropout mask must be boolean with the input's shape {a.data.shape}, "
                              f"got {mask.dtype.name} {mask.shape}")
-
-    def keep():  # the scaled float mask, built anew when needed rather than kept
-        return mask.astype(a.data.dtype) / np.array(1.0 - rate, dtype=a.data.dtype)
-
-    out_data = a.data * keep()
+    out_data = a.data * _keep_scale(mask, rate, a.data.dtype)
 
     def bwd(g):
-        return [(a, g * keep())]
+        return [(a, g * _keep_scale(mask, rate, a.data.dtype))]
 
     return _result(out_data, (a,), bwd)
+
+
+def _keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Dropout's boolean keep mask: one uniform draw per element."""
+    return rng.random(shape) >= rate
+
+
+def _keep_scale(mask: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The scaled float form of a keep mask, built anew when needed rather than kept."""
+    return mask.astype(dtype) / np.array(1.0 - rate, dtype=dtype)
 
 
 def _accumulate(total, step):

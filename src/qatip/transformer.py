@@ -150,7 +150,8 @@ class QaTransformerModel(Seq2Seq):
         return self._dropout(x, train)
 
     def _sublayer(self, x: Tensor, out: Tensor, gain: Tensor, bias: Tensor, train: bool) -> Tensor:
-        return T.layer_norm(T.add(x, self._dropout(out, train)), gain, bias)
+        rate = self.config.dropout if train else 0.0
+        return T.residual_norm(x, out, gain, bias, rate, self._drop_rng)
 
     def _ffn(self, blk: _Block, x: Tensor) -> Tensor:
         return T.feed_forward(x, blk.w1, blk.b1, blk.w2, blk.b2)

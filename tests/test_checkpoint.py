@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qatip.checkpoint import (
     CheckpointError,
@@ -154,34 +156,65 @@ def test_header_json_corruption(tmp_path):
         load_checkpoint(path)
 
 
-def test_manifest_shape_mismatch(tmp_path):
-    model = tiny_rnn()
+def rewritten_header(tmp_path, model, edit):
+    """Save ``model``, apply ``edit`` to the parsed header, and write the file back around the same payload."""
     path = save_path(tmp_path)
     save_checkpoint(model, model.config_dict(), path)
     blob = open(path, "rb").read()
     header_len = struct.unpack_from("<Q", blob, 8)[0]
     header = json.loads(blob[16 : 16 + header_len])
-    header["manifest"][0]["shape"][0] += 1
+    edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = save_path(tmp_path, "reshaped.qtip")
+    out = save_path(tmp_path, "edited.qtip")
     open(out, "wb").write(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+    return out
+
+
+def test_manifest_shape_mismatch(tmp_path):
+    def edit(header):
+        header["manifest"][0]["shape"][0] += 1
+
     with pytest.raises(CheckpointError, match="does not match shape"):
-        load_checkpoint(out)
+        load_checkpoint(rewritten_header(tmp_path, tiny_rnn(), edit))
 
 
 def test_missing_header_fields(tmp_path):
-    model = tiny_rnn()
-    path = save_path(tmp_path)
-    save_checkpoint(model, model.config_dict(), path)
-    blob = open(path, "rb").read()
-    header_len = struct.unpack_from("<Q", blob, 8)[0]
-    header = json.loads(blob[16 : 16 + header_len])
-    del header["manifest"]
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = save_path(tmp_path, "nomanifest.qtip")
-    open(out, "wb").write(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+    def edit(header):
+        del header["manifest"]
+
     with pytest.raises(CheckpointError, match="missing field manifest"):
-        load_checkpoint(out)
+        load_checkpoint(rewritten_header(tmp_path, tiny_rnn(), edit))
+
+
+@pytest.mark.parametrize("name, field, change, match", [
+    # a shifted entry would read its neighbour's bytes
+    ("dec.0.cross.wo", "offset", lambda v: v + 4,
+     r"entry dec\.0\.cross\.wo: offset \d+ is not \d+, where the entries before it end"),
+    ("dec.0.cross.wo", "offset", lambda v: v - 4, r"entry dec\.0\.cross\.wo: offset \d+ is not \d+"),
+    ("dec.0.cross.wo", "offset", float, r"entry dec\.0\.cross\.wo: offset must be an integer, got \d+\.0$"),
+    ("dec.0.cross.wo", "len", float, r"entry dec\.0\.cross\.wo: len must be an integer, got 256\.0$"),
+    ("dec.0.cross.wo", "shape", lambda v: [float(v[0])] + v[1:],
+     r"entry dec\.0\.cross\.wo: shape must be a list of sizes, got \[8\.0, 8\]$"),
+    ("dec.0.cross.wo", "shape", lambda v: [-n for n in v], r"shape must be a list of sizes, got \[-8, -8\]$"),
+    ("dec.0.cross.wo", "shape", lambda v: "8x8", r"shape must be a list of sizes, got '8x8'$"),
+    ("dec.0.cross.wo", "name", lambda v: 7, r"manifest entry name must be a string, got 7$"),
+], ids=["shifted-later", "shifted-earlier", "float-offset", "float-len", "float-shape", "negative-shape",
+        "string-shape", "int-name"])
+def test_ill_typed_or_misplaced_manifest_entry_is_located(tmp_path, name, field, change, match):
+    def edit(header):
+        entry = next(e for e in header["manifest"] if e["name"] == name)
+        entry[field] = change(entry[field])
+
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(rewritten_header(tmp_path, tiny_transformer(), edit))
+
+
+def test_boolean_offset_is_not_an_integer(tmp_path):
+    def edit(header):
+        header["manifest"][0]["offset"] = False  # the first entry's offset, 0, which False equals
+
+    with pytest.raises(CheckpointError, match=r"entry \S+: offset must be an integer, got False$"):
+        load_checkpoint(rewritten_header(tmp_path, tiny_transformer(), edit))
 
 
 def test_model_from_config_validation():
@@ -263,3 +296,54 @@ def test_failed_save_leaves_previous_file_whole(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert open(path, "rb").read() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.qtip"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every truncation and single-byte overwrites of the preamble and header
+
+
+FUZZ_FAMILIES = {"rnn": tiny_rnn, "transformer": tiny_transformer}
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Per family, the bytes of a saved checkpoint and a path to write mutants to."""
+    out = {}
+    for family, build in FUZZ_FAMILIES.items():
+        folder = tmp_path_factory.mktemp(family)
+        model = build()
+        path = str(folder / "model.qtip")
+        save_checkpoint(model, model.config_dict(), path)
+        out[family] = (open(path, "rb").read(), str(folder / "mutant.qtip"))
+    return out
+
+
+def load_mutant(path, blob):
+    """Load ``blob`` from ``path``: a clean load or a ``CheckpointError``, never another exception."""
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family", FUZZ_FAMILIES)
+def test_every_truncation_is_a_checkpoint_error(saved, family):
+    blob, path = saved[family]
+    loaded = [n for n in range(len(blob)) if load_mutant(path, blob[:n])]
+    assert not loaded
+
+
+@pytest.mark.parametrize("family", FUZZ_FAMILIES)
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(data=st.data())
+def test_header_byte_overwrite_loads_or_is_a_checkpoint_error(saved, family, data):
+    blob, path = saved[family]
+    header_end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    at = data.draw(st.integers(0, header_end - 1), label="at")
+    # any byte, or one of the bytes that keep JSON well formed more often (a digit turned into
+    # "." or "e" makes a float of an integer field)
+    value = data.draw(st.one_of(st.sampled_from(b'0123456789.e-"[]'), st.integers(0, 255)), label="value")
+    load_mutant(path, blob[:at] + bytes([value]) + blob[at + 1:])

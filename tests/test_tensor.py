@@ -250,6 +250,60 @@ def test_feed_forward_rejects_bad_operands(shapes, match):
         T.feed_forward(*(Tensor(np.zeros(shape)) for shape in shapes))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+def test_residual_norm_is_bitwise_dropout_add_layer_norm(dtype, rate):
+    rng = np.random.default_rng(41)
+    x, out = (Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True, dtype=dtype) for _ in range(2))
+    gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True, dtype=dtype)
+    bias = Tensor(rng.standard_normal(6), requires_grad=True, dtype=dtype)
+    probe = Tensor(rng.standard_normal((3, 5, 6)), dtype=dtype)
+    params = (x, out, gain, bias)
+    fresh = np.random.default_rng(42).bit_generator.state
+    runs, states = [], []
+    for sublayer in (lambda r: T.layer_norm(T.add(x, T.dropout(out, rate, rng=r)), gain, bias),
+                     lambda r: T.residual_norm(x, out, gain, bias, rate, r)):
+        drop_rng = np.random.default_rng(42)
+        for t in params:
+            t.zero_grad()
+        y = sublayer(drop_rng)
+        backward(T.sum_all(T.mul(y, probe)))
+        runs.append([y.data] + [t.grad for t in params])
+        states.append(drop_rng.bit_generator.state)
+    for name, ref, got in zip(["value", "x", "out", "gain", "bias"], *runs):
+        assert got.dtype == dtype and np.array_equal(ref, got), name
+    assert states[0] == states[1] and (states[1] != fresh) == (rate > 0)
+    assert (runs[1][2] == 0).any() == (rate > 0)  # dropped entries pass no gradient to out
+    with T.no_grad():
+        y = T.residual_norm(x, out, gain, bias, rate, np.random.default_rng(42))
+    assert not y.requires_grad and y._backward is None
+    assert np.array_equal(y.data, runs[1][0])
+
+
+@pytest.mark.parametrize("shapes, rate, rng, match", [
+    (((2, 3, 4), (2, 3, 5), (4,), (4,)), 0.0, None,
+     r"x and out of one shape \(\.\.\., d\), got x \(2, 3, 4\) and out \(2, 3, 5\)"),
+    (((2, 3, 4), (2, 3, 4), (5,), (4,)), 0.0, None,
+     r"gain and bias \(d,\) = \(4,\) for x \(2, 3, 4\), got gain \(5,\) and bias \(4,\)"),
+    (((2, 3, 4), (2, 3, 4), (4,), (1, 4)), 0.0, None, r"got gain \(4,\) and bias \(1, 4\)"),
+    (((2, 3, 4), (2, 3, 4), (4,), (4,)), 1.0, np.random.default_rng(0),
+     r"rate must be in \[0, 1\), got 1.0"),
+    (((2, 3, 4), (2, 3, 4), (4,), (4,)), -0.1, None, r"rate must be in \[0, 1\), got -0.1"),
+    (((2, 3, 4), (2, 3, 4), (4,), (4,)), float("nan"), None, r"rate must be in \[0, 1\), got nan"),
+    (((2, 3, 4), (2, 3, 4), (4,), (4,)), 0.5, None, r"needs an rng to drop out at rate 0.5"),
+])
+def test_residual_norm_rejects_bad_operands(shapes, rate, rng, match):
+    x, out, gain, bias = (Tensor(np.ones(shape), dtype=np.float64) for shape in shapes)
+    with pytest.raises(ValueError, match=match):
+        T.residual_norm(x, out, gain, bias, rate, rng)
+
+
+def test_residual_norm_rejects_mixed_dtypes_as_the_other_ops_do():
+    x, gain, bias = Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))
+    with pytest.raises(TypeError, match=r"mixed tensor dtypes: \['float32', 'float64'\]"):
+        T.residual_norm(x, Tensor(np.ones((2, 3, 4)), dtype=np.float32), gain, bias)
+
+
 def _sigmoid_masked_reference(d):
     out = np.empty_like(d)
     pos = d >= 0
@@ -354,6 +408,29 @@ def test_intermediate_tensors_receive_grads():
     backward(loss)
     assert h.grad is not None
     assert np.allclose(h.grad, 1.0)
+
+
+def test_leaf_grad_owns_its_buffer_and_intermediate_grads_stay_put():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+    probe = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
+    h = T.add(x, b)  # add hands one gradient array to both of its inputs
+    backward(T.sum_all(T.mul(h, probe)))
+    assert np.array_equal(h.grad, probe.data)
+    for leaf in (x, b):
+        assert np.array_equal(leaf.grad, probe.data)
+        assert not np.shares_memory(leaf.grad, h.grad)
+    assert not np.shares_memory(x.grad, b.grad)
+    backward(T.sum_all(T.mul(x, probe)))  # a second sweep accumulates into the leaf's slot in place
+    assert np.array_equal(x.grad, 2 * probe.data)
+    assert np.array_equal(h.grad, probe.data) and np.array_equal(b.grad, probe.data)
+    # an intermediate's .grad is the flowing array itself: read-only under sum_all, shared by add's inputs
+    u, v = T.tanh(x), T.tanh(b)
+    backward(T.sum_all(T.add(u, v)))
+    assert np.array_equal(u.grad, np.ones((3, 4))) and np.shares_memory(u.grad, v.grad)
+    assert not u.grad.flags.writeable
+    assert x.grad.flags.writeable and not np.shares_memory(x.grad, b.grad)
 
 
 def test_second_backward_on_same_loss_raises():

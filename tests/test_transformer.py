@@ -254,10 +254,9 @@ def _retained_buffers(loss):
     return list(buffers.values())
 
 
-def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypatch):
+def _dropout_model_and_batch():
     # head width 8 and ffn width 24 differ from every length (review 5, query 3, tip input 4)
     cfg = tiny_config(model_dim=16, num_heads=2, ffn_dim=24, dropout=0.25)
-    model = QaTransformerModel(cfg, seed=3)
     rng = np.random.default_rng(4)
 
     def ids(n):
@@ -265,6 +264,11 @@ def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypa
 
     batch = make_batch([Triplet(ids(5), ids(3), (1,) + ids(3) + (2,), "", "", "", "a"),
                         Triplet(ids(4), ids(2), (1,) + ids(2) + (2,), "", "", "", "b")])
+    return QaTransformerModel(cfg, seed=3), batch
+
+
+def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypatch):
+    model, batch = _dropout_model_and_batch()
     score_shapes, ffn_calls = [], []
     attend, ffn = attention.scaled_dot_attention, QaTransformerModel._ffn
 
@@ -296,3 +300,24 @@ def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypa
                    and np.isin(b, [0.0, scale]).all()]
     assert not float_masks  # dropout keeps its boolean keep mask
     assert any(b.dtype == bool for b in buffers)
+
+
+def test_tape_keeps_no_pre_norm_sum_and_no_dropout_output_per_sublayer(monkeypatch):
+    model, batch = _dropout_model_and_batch()
+    added = []  # per call: the (B, len, d) buffers the sublayer's tape holds beyond its inputs' tapes
+    sublayer = QaTransformerModel._sublayer
+
+    def counted_sublayer(self, x, out, gain, bias, train):
+        y = sublayer(self, x, out, gain, bias, train)
+        before = {id(b) for t in (x, out) for b in _retained_buffers(t)}
+        added.append([b for b in _retained_buffers(y) if id(b) not in before and b.shape == x.shape])
+        return y
+
+    monkeypatch.setattr(QaTransformerModel, "_sublayer", counted_sublayer)
+    model.forward_loss(batch, train=True)
+
+    # 2 per block (review, query, 2 encoder layers) and 3 per decoder layer
+    assert len(added) == 14
+    for buffers in added:
+        # the output and the normalized rows; not the sum x + dropout(out), nor dropout(out)
+        assert sorted(b.dtype.name for b in buffers) == ["bool", "float32", "float32"]
