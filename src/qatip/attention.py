@@ -40,15 +40,45 @@ def sinusoidal_positions(max_len: int, dim: int, dtype=np.float32) -> np.ndarray
     return pe.astype(dtype)
 
 
+def _broadcast(a: tuple, b: tuple) -> tuple | None:
+    """``np.broadcast_shapes(a, b)`` in plain Python (cheap per decode step), None where they clash."""
+    if a == b:
+        return a
+    n = max(len(a), len(b))
+    out = []
+    for x, y in zip((1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b):
+        if x != y and 1 not in (x, y):
+            return None
+        out.append(y if x == 1 else x)
+    return tuple(out)
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None):
     """softmax(q kT / sqrt(d_k)) v with optional validity mask on key positions.
 
     q is (..., A, d_k), k is (..., N, d_k), v is (..., N, d_v); mask broadcasts
     to (..., A, N) with True marking attendable entries.  Returns (context,
-    weights); masked weights are exactly zero.  One ``tensor.attention`` node:
-    the weights are data only, and no gradient flows back through them.
+    weights); masked weights are exactly zero.  Operands that do not fit raise
+    one ValueError naming all three shapes, before any op is recorded.
     """
-    return T.attention(q, k, v, mask=mask)
+    qs, ks, vs = q.shape, k.shape, v.shape
+    if min(len(qs), len(ks), len(vs)) < 2 or qs[-1] != ks[-1] or ks[-2] != vs[-2]:
+        raise ValueError(f"attention needs q (..., A, d_k), k (..., N, d_k) and v (..., N, d_v), "
+                         f"got q {qs}, k {ks}, v {vs}")
+    lead = _broadcast(qs[:-2], ks[:-2])
+    if lead is None or _broadcast(lead, vs[:-2]) is None:
+        raise ValueError(f"attention's leading axes do not broadcast: q {qs}, k {ks}, v {vs}")
+    scores_shape = lead + (qs[-2], ks[-2])
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if _broadcast(mask.shape, scores_shape) != scores_shape:
+            raise ValueError(f"attention mask {mask.shape} does not broadcast to the scores (..., A, N) "
+                             f"= {scores_shape} of q {qs} and k {ks}")
+    d_k = qs[-1]
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_k))
+    weights = T.softmax_rows(scores, mask=mask)
+    context = T.matmul(weights, v)
+    return context, weights
 
 
 @dataclass

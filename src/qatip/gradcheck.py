@@ -293,58 +293,6 @@ def _check_lstm_scan(rng, h=STEP):
     return worst
 
 
-def _check_attention(rng, h=STEP, masked=True):
-    b, heads, a_len, n, d_k, d_v = 2, 2, 3, 4, 3, 2
-    q = _randn(rng, (b, heads, a_len, d_k))
-    k = _randn(rng, (b, heads, n, d_k))
-    v = _randn(rng, (b, heads, n, d_v))
-    mask = None
-    if masked:
-        mask = rng.random((b, 1, a_len, n)) > 0.3  # shared across heads, as multi-head attention shares it
-        mask[..., 0] = True
-    probe = rng.standard_normal((b, heads, a_len, d_v))
-
-    def loss():
-        context, _ = T.attention(q, k, v, mask=mask)
-        return T.sum_all(T.mul(context, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"q": q, "k": k, "v": v}, loss, h)
-
-
-def _check_attention_unmasked(rng, h=STEP):
-    return _check_attention(rng, h, masked=False)
-
-
-def _check_feed_forward(rng, h=STEP):
-    d, f, k = 3, 5, 2
-    x = _randn(rng, (2, 3, d))
-    w1, b1, w2, b2 = _randn(rng, (d, f)), _randn(rng, (f,)), _randn(rng, (f, k)), _randn(rng, (k,))
-    # keep every pre-activation away from the ReLU's kink, where the derivative jumps
-    while np.abs(x.data @ w1.data + b1.data).min() < 0.05:
-        b1.data[...] = rng.standard_normal(f)
-    probe = rng.standard_normal((2, 3, k))
-
-    def loss():
-        return T.sum_all(T.mul(T.feed_forward(x, w1, b1, w2, b2), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}, loss, h)
-
-
-def _check_residual_norm(rng, h=STEP):
-    x, out = _randn(rng, (2, 3, 6)), _randn(rng, (2, 3, 6))
-    gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True, dtype=np.float64)
-    bias = _randn(rng, (6,))
-    probe = rng.standard_normal((2, 3, 6))
-    mask_seed = int(rng.integers(2**31))
-
-    def loss():
-        # a generator in one state on every forward draws one keep mask
-        y = T.residual_norm(x, out, gain, bias, 0.25, np.random.default_rng(mask_seed))
-        return T.sum_all(T.mul(y, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"x": x, "out": out, "gain": gain, "bias": bias}, loss, h)
-
-
 OP_CHECKS = {
     "matmul": _check_matmul,
     "transpose": _check_transpose,
@@ -365,10 +313,6 @@ OP_CHECKS = {
     "dropout": _check_dropout,
     "linear": _check_linear,
     "lstm_scan": _check_lstm_scan,
-    "attention_masked": _check_attention,
-    "attention": _check_attention_unmasked,
-    "feed_forward": _check_feed_forward,
-    "residual_norm": _check_residual_norm,
 }
 
 

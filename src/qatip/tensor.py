@@ -1,16 +1,25 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A thin tape over numpy arrays: every op returns a new :class:`Tensor` and,
-when gradients are enabled and any input requires them, records a backward
-closure.  :func:`backward` walks the tape once in reverse-topological order
-and accumulates ``d loss / d tensor`` into every reachable ``requires_grad``
-tensor (the caller zeroes grads between steps).  The sweep releases the
-graph as it goes: each node it passes drops its parents and its closure, so
-activations and gradient copies are freed at once, and only the nodes the
-caller still holds (parameters, a kept intermediate) keep their ``.grad``.
-A leaf's ``.grad`` is its own writable array; a kept intermediate's is the
-gradient array as it flowed, which may be read-only or shared with another
-intermediate's ``.grad``.
+when gradients are enabled and any input requires them, records a graph
+node apart from that Tensor.  The node holds its parents' nodes (None for
+an input that takes no gradient), its backward closure and a weak
+reference to its output, so the graph never keeps a Tensor, nor its
+values, alive: an activation lives only as long as the caller holds it or
+a backward closure captured it.  Each closure captures exactly the arrays
+it reads, plus its inputs' shapes, dtypes and ``requires_grad`` flags, and
+returns one gradient per parent in parent order (None for a parent that
+takes none).  A leaf that requires grad gets its node the first time an op
+reads it.
+
+:func:`backward` walks the graph once in reverse-topological order and
+accumulates ``d loss / d tensor`` into every reachable ``requires_grad``
+tensor the caller still holds (the caller zeroes grads between steps).
+The sweep releases the graph as it goes: each node it passes drops its
+parents and its closure, so the arrays the closures saved and the
+gradient copies are freed at once.  A leaf's ``.grad`` is its own
+writable array; a kept intermediate's is the gradient array as it flowed,
+which may be read-only or shared with another intermediate's ``.grad``.
 A swept graph cannot be swept again.  Forward data is never mutated by the
 backward pass.
 
@@ -20,6 +29,7 @@ in 64-bit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +51,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -50,8 +60,16 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _backward(self):
+        """The recorded backward closure, None on a leaf; settable, so a profiler can wrap it in place."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     @property
     def shape(self):
@@ -71,6 +89,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """A tensor's place in the graph: parents' nodes, backward closure (None on a leaf), weak ref to the tensor."""
+
+    __slots__ = ("parents", "backward", "ref")
+
+    def __init__(self, parents: tuple, backward, tensor: Tensor):
+        self.parents = parents
+        self.backward = backward
+        self.ref = weakref.ref(tensor)
+
+
 @dataclass
 class Parameter:
     """Named learnable tensor; names are unique within a model."""
@@ -79,18 +108,25 @@ class Parameter:
     tensor: Tensor
 
 
+def _node_of(t: Tensor) -> _Node | None:
+    """The node gradients reach ``t`` through, None if it takes none; a leaf's is made on first use."""
+    if not t.requires_grad:
+        return None
+    if t._node is None:
+        t._node = _Node((), None, t)
+    return t._node
+
+
 def _result(data, parents, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        out._node = _Node(tuple(_node_of(p) for p in parents), backward_fn, out)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out._node = None
     return out
 
 
@@ -124,11 +160,11 @@ def _released(g):
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Each tape node is visited exactly once; gradients are accumulated into
+    Each graph node is visited exactly once; gradients are accumulated into
     ``.grad`` slots, so a freshly built loss swept without zeroing first
     adds to the gradients already there.  The sweep releases each node it
-    passes: its parents and closure are dropped, so only the nodes the
-    caller holds keep their ``.grad``.  A leaf's ``.grad`` owns its buffer,
+    passes: its parents and closure are dropped, and only the tensors the
+    caller holds get their ``.grad``.  A leaf's ``.grad`` owns its buffer,
     since later sweeps add to it in place; an intermediate's is not copied
     and is to be read only: it may be a read-only broadcast view, or share
     memory with a sibling's ``.grad``.  Reaching a released node (a second
@@ -140,9 +176,10 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing to backpropagate")
 
-    topo: list[Tensor] = []
+    root = _node_of(loss)
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -150,36 +187,40 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
-        if node._backward is _released:
+        if node.backward is _released:
             raise RuntimeError(_SWEPT)
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+        for parent in node.parents:
+            if parent is not None and id(parent) not in visited:
                 stack.append((parent, False))
 
     # every pending key's node is still held by ``topo``, so no id is reused
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
         g = flowing.pop(id(node), None)
-        node_backward = node._backward
+        node_backward, parents = node.backward, node.parents
         if node_backward is not None:
             # past this step nothing in the graph refers to ``node``: release what it saved
-            node._parents = ()
-            node._backward = _released
+            node.parents = ()
+            node.backward = _released
         if g is None:
             continue
-        if node.grad is None:
-            # a leaf's slot is accumulated into by later sweeps, so it owns its buffer; a swept
-            # intermediate is released and never accumulated into again, so it may share ``g``
-            node.grad = (np.array(g, dtype=node.data.dtype, copy=True) if node_backward is None
-                         else np.asarray(g, dtype=node.data.dtype))
-        else:
-            node.grad += g
+        t = node.ref()
+        if t is not None:
+            if t.grad is None:
+                # a leaf's slot is accumulated into by later sweeps, so it owns its buffer; a swept
+                # intermediate is released and never accumulated into again, so it may share ``g``
+                t.grad = (np.array(g, dtype=t.data.dtype, copy=True) if node_backward is None
+                          else np.asarray(g, dtype=t.data.dtype))
+            else:
+                t.grad += g
         if node_backward is None:
             continue
-        for parent, pg in node_backward(g):
+        for parent, pg in zip(parents, node_backward(g)):
+            if parent is None:
+                continue
             key = id(parent)
             if key in flowing:
                 flowing[key] = flowing[key] + pg
@@ -189,6 +230,9 @@ def backward(loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # ops
+#
+# A backward closure reads only what it captured: never a parent Tensor, so
+# that the graph pins no activation that no backward reads.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -199,14 +243,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
+    a_shape, b_shape, a_grad, b_grad = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
+    ad = a.data if b_grad else None  # each operand's gradient reads the other operand
+    bd = b.data if a_grad else None
 
     def bwd(g):
-        pairs = []
-        if a.requires_grad:
-            pairs.append((a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)))
-        if b.requires_grad:
-            pairs.append((b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
-        return pairs
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape) if a_grad else None,
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape) if b_grad else None)
 
     return _result(out_data, (a, b), bwd)
 
@@ -229,17 +272,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out2 += b.data
     out_data = out2.reshape(x.data.shape[:-1] + w.data.shape[1:])
+    x_shape, x_grad, w_grad = x.data.shape, x.requires_grad, w.requires_grad
+    b_grad = b is not None and b.requires_grad
+    wd = w.data if x_grad else None  # x's gradient reads w, w's reads x
+    x2 = x2 if w_grad else None
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        pairs = []
-        if x.requires_grad:
-            pairs.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
-        if w.requires_grad:
-            pairs.append((w, x2.T @ g2))
-        if b is not None and b.requires_grad:
-            pairs.append((b, g2.sum(axis=0)))
-        return pairs
+        return ((g2 @ wd.T).reshape(x_shape) if x_grad else None,
+                x2.T @ g2 if w_grad else None,
+                g2.sum(axis=0) if b_grad else None)  # zip against two parents drops this when b is None
 
     return _result(out_data, parents, bwd)
 
@@ -248,7 +290,7 @@ def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     out_data = np.swapaxes(a.data, axis1, axis2)
 
     def bwd(g):
-        return [(a, np.swapaxes(g, axis1, axis2))]
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _result(out_data, (a,), bwd)
 
@@ -256,14 +298,10 @@ def transpose(a: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     out_data = a.data + b.data
+    a_shape, b_shape, a_grad, b_grad = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        pairs = []
-        if a.requires_grad:
-            pairs.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            pairs.append((b, _unbroadcast(g, b.data.shape)))
-        return pairs
+        return (_unbroadcast(g, a_shape) if a_grad else None, _unbroadcast(g, b_shape) if b_grad else None)
 
     return _result(out_data, (a, b), bwd)
 
@@ -271,14 +309,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     out_data = a.data - b.data
+    a_shape, b_shape, a_grad, b_grad = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        pairs = []
-        if a.requires_grad:
-            pairs.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            pairs.append((b, _unbroadcast(-g, b.data.shape)))
-        return pairs
+        return (_unbroadcast(g, a_shape) if a_grad else None, _unbroadcast(-g, b_shape) if b_grad else None)
 
     return _result(out_data, (a, b), bwd)
 
@@ -287,24 +321,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product (shapes must broadcast)."""
     _check_same_dtype(a, b)
     out_data = a.data * b.data
+    a_shape, b_shape, a_grad, b_grad = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
+    ad = a.data if b_grad else None  # each operand's gradient reads the other operand
+    bd = b.data if a_grad else None
 
     def bwd(g):
-        pairs = []
-        if a.requires_grad:
-            pairs.append((a, _unbroadcast(g * b.data, a.data.shape)))
-        if b.requires_grad:
-            pairs.append((b, _unbroadcast(g * a.data, b.data.shape)))
-        return pairs
+        return (_unbroadcast(g * bd, a_shape) if a_grad else None,
+                _unbroadcast(g * ad, b_shape) if b_grad else None)
 
     return _result(out_data, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out_data = a.data * np.array(c, dtype=a.data.dtype)
+    dtype = a.data.dtype
+    out_data = a.data * np.array(c, dtype=dtype)
 
     def bwd(g):
-        return [(a, g * np.array(c, dtype=a.data.dtype))]
+        return (g * np.array(c, dtype=dtype),)
 
     return _result(out_data, (a,), bwd)
 
@@ -320,7 +354,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
 
     def bwd(g):
-        return [(a, g * out_data * (1.0 - out_data))]
+        return (g * out_data * (1.0 - out_data),)
 
     return _result(out_data, (a,), bwd)
 
@@ -329,7 +363,7 @@ def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
     def bwd(g):
-        return [(a, g * (1.0 - out_data * out_data))]
+        return (g * (1.0 - out_data * out_data),)
 
     return _result(out_data, (a,), bwd)
 
@@ -338,61 +372,20 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def bwd(g):
-        return [(a, g * (a.data > 0))]
+        # out > 0 wherever in > 0 and nowhere else, NaN and -0.0 included, so the input is not kept
+        return (g * (out_data > 0),)
 
     return _result(out_data, (a,), bwd)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Position-wise ``relu(x w1 + b1) w2 + b2`` of x (..., d) as one tape node.
+def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-stochastic softmax over the last axis.
 
-    w1 is (d, f), b1 (f,), w2 (f, k) and b2 (k,).  Besides its inputs the
-    node keeps only the ReLU output, computed in place over the
-    pre-activation, and its backward rebuilds the ReLU mask as
-    ``hidden > 0``, which equals ``pre > 0`` everywhere (NaN included).  It
-    makes the numpy calls of ``linear``, ``relu``, ``linear`` composed, so
-    values and gradients are bitwise theirs.
+    ``mask`` marks valid positions (True = keep); masked scores are pinned to
+    -1e9 before the stabilized softmax and the corresponding outputs are
+    exactly zero.  A fully masked row is an error.
     """
-    _check_same_dtype(x, w1, b1, w2, b2)
-    if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1] != w1.data.shape[0]
-            or w2.data.shape[0] != w1.data.shape[1] or b1.data.shape != w1.data.shape[1:]
-            or b2.data.shape != w2.data.shape[1:]):
-        raise ValueError(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, k) and b2 (k,), got "
-                         f"x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
-                         f"w2 {w2.data.shape}, b2 {b2.data.shape}")
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    pre2 = x2 @ w1.data
-    pre2 += b1.data
-    hidden = pre2.reshape(x.data.shape[:-1] + w1.data.shape[1:])
-    np.maximum(hidden, 0, out=hidden)
-    h2 = hidden.reshape(-1, hidden.shape[-1])
-    out2 = h2 @ w2.data
-    out2 += b2.data
-    out_data = out2.reshape(x.data.shape[:-1] + w2.data.shape[1:])
-
-    def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        pairs = []
-        if w2.requires_grad:
-            pairs.append((w2, h2.T @ g2))
-        if b2.requires_grad:
-            pairs.append((b2, g2.sum(axis=0)))
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            d_pre = (g2 @ w2.data.T).reshape(hidden.shape) * (hidden > 0)
-            d_pre2 = d_pre.reshape(-1, d_pre.shape[-1])
-            if x.requires_grad:
-                pairs.append((x, (d_pre2 @ w1.data.T).reshape(x.data.shape)))
-            if w1.requires_grad:
-                pairs.append((w1, x2.T @ d_pre2))
-            if b1.requires_grad:
-                pairs.append((b1, d_pre2.sum(axis=0)))
-        return pairs
-
-    return _result(out_data, (x, w1, b1, w2, b2), bwd)
-
-
-def _softmax_rows(d: np.ndarray, mask) -> np.ndarray:
-    """The forward of ``softmax_rows`` on an array (see there)."""
+    d = a.data
     if d.shape[-1] < 1:
         raise ValueError("softmax needs at least one column")
     if mask is not None:
@@ -408,182 +401,54 @@ def _softmax_rows(d: np.ndarray, mask) -> np.ndarray:
     out_data = ex / ex.sum(axis=-1, keepdims=True)
     if m is not None:
         out_data = out_data * m
-    return out_data
-
-
-def _softmax_rows_grad(out_data: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inner = (g * out_data).sum(axis=-1, keepdims=True)
-    return out_data * (g - inner)
-
-
-def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stochastic softmax over the last axis.
-
-    ``mask`` marks valid positions (True = keep); masked scores are pinned to
-    -1e9 before the stabilized softmax and the corresponding outputs are
-    exactly zero.  A fully masked row is an error.
-    """
-    out_data = _softmax_rows(a.data, mask)
 
     def bwd(g):
-        return [(a, _softmax_rows_grad(out_data, g))]
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
+        return (out_data * (g - inner),)
 
     return _result(out_data, (a,), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None):
-    """Scaled dot-product attention ``softmax(q kT / sqrt(d_k), mask) v`` as one tape node.
-
-    q is (..., A, d_k), k is (..., N, d_k) and v is (..., N, d_v); leading
-    axes broadcast, and ``mask`` broadcasts to the scores (..., A, N) with
-    True marking attendable entries (``softmax_rows`` semantics: masked
-    weights are exactly zero, a fully masked row is an error).  Returns
-    (context (..., A, d_v), weights (..., A, N)).  The weights are data only,
-    a Tensor outside the tape: no gradient flows back through them.
-
-    The node saves only the weights for its backward; the raw and scaled
-    scores are freed in the forward.  It makes the numpy calls of ``matmul``,
-    ``transpose``, ``scale`` and ``softmax_rows`` composed, on the same views,
-    forward and backward, so values and gradients are bitwise theirs, and the
-    sweep reaches its parents (q, k, v) in the order it reaches them through
-    that chain.
-    """
-    _check_same_dtype(q, k, v)
-    qd, kd, vd = q.data, k.data, v.data
-    if min(qd.ndim, kd.ndim, vd.ndim) < 2 or qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]:
-        raise ValueError(f"attention needs q (..., A, d_k), k (..., N, d_k) and v (..., N, d_v), "
-                         f"got q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    try:
-        scores_shape = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2]) + (qd.shape[-2], kd.shape[-2])
-        np.broadcast_shapes(scores_shape[:-2], vd.shape[:-2])
-    except ValueError:
-        raise ValueError(f"attention's leading axes do not broadcast: q {qd.shape}, k {kd.shape}, "
-                         f"v {vd.shape}") from None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        try:
-            np.broadcast_to(mask, scores_shape)
-        except ValueError:
-            raise ValueError(f"attention mask {mask.shape} does not broadcast to the scores (..., A, N) "
-                             f"= {scores_shape} of q {qd.shape} and k {kd.shape}") from None
-    kt = np.swapaxes(kd, -2, -1)
-    c = np.array(float(1.0 / np.sqrt(qd.shape[-1])), dtype=qd.dtype)
-    probs = _softmax_rows((qd @ kt) * c, mask)
-    out_data = probs @ vd
-
-    def bwd(g):
-        pairs = []
-        if v.requires_grad:
-            pairs.append((v, _unbroadcast(np.swapaxes(probs, -1, -2) @ g, vd.shape)))
-        if q.requires_grad or k.requires_grad:
-            g_probs = _unbroadcast(g @ np.swapaxes(vd, -1, -2), probs.shape)
-            g_scores = _softmax_rows_grad(probs, g_probs) * c
-            if q.requires_grad:
-                pairs.append((q, _unbroadcast(g_scores @ np.swapaxes(kt, -1, -2), qd.shape)))
-            if k.requires_grad:
-                pairs.append((k, np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g_scores, kt.shape), -2, -1)))
-        return pairs
-
-    return _result(out_data, (q, k, v), bwd), Tensor(probs)
-
-
-_NORM_EPS = 1e-5  # layer_norm's default, and the only eps residual_norm uses
-
-
-def _layer_norm(d: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """The forward of ``layer_norm`` on arrays: (output, xhat, inv), the last two what its backward reads."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    _check_same_dtype(a, gain, bias)
+    d = a.data
     mu = d.mean(axis=-1, keepdims=True)
     xc = d - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.array(eps, dtype=d.dtype))
     xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
-
-
-def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, bias: Tensor,
-                     input_grad: bool):
-    """The backward of ``_layer_norm``: d input (None unless ``input_grad``) and the gain and bias pairs."""
-    d_input = None
-    if input_grad:
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        d_input = inv * term
-    pairs = []
-    reduce_axes = tuple(range(g.ndim - 1))
-    if gain.requires_grad:
-        pairs.append((gain, _unbroadcast((g * xhat).sum(axis=reduce_axes), gain.data.shape)))
-    if bias.requires_grad:
-        pairs.append((bias, _unbroadcast(g.sum(axis=reduce_axes), bias.data.shape)))
-    return d_input, pairs
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    _check_same_dtype(a, gain, bias)
-    out_data, xhat, inv = _layer_norm(a.data, gain.data, bias.data, eps)
+    out_data = xhat * gain.data + bias.data
+    a_grad, gain_grad, bias_grad = a.requires_grad, gain.requires_grad, bias.requires_grad
+    gain_shape, bias_shape = gain.data.shape, bias.data.shape
+    gd = gain.data if a_grad else None
 
     def bwd(g):
-        d_a, pairs = _layer_norm_grad(g, xhat, inv, gain, bias, a.requires_grad)
-        return pairs if d_a is None else [(a, d_a), *pairs]
+        d_a = None
+        if a_grad:
+            dxhat = g * gd
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            d_a = inv * term
+        reduce_axes = tuple(range(g.ndim - 1))
+        return (d_a,
+                _unbroadcast((g * xhat).sum(axis=reduce_axes), gain_shape) if gain_grad else None,
+                _unbroadcast(g.sum(axis=reduce_axes), bias_shape) if bias_grad else None)
 
     return _result(out_data, (a, gain, bias), bwd)
-
-
-def residual_norm(x: Tensor, out: Tensor, gain: Tensor, bias: Tensor, rate: float = 0.0,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """The post-norm residual ``layer_norm(x + dropout(out, rate))`` of x and out (..., d) as one tape node.
-
-    gain and bias are (d,).  At ``rate`` 0 nothing is dropped and ``rng`` is
-    not drawn; above it the keep mask is drawn from ``rng`` as ``dropout``
-    draws it, so the generator ends in the same state.  The node keeps only
-    the normalized rows, their inverse deviations and the boolean mask: the
-    sum and the dropped ``out`` are freed in the forward.  It makes the numpy
-    calls of ``dropout``, ``add`` and ``layer_norm`` (at its default eps)
-    composed, so values and gradients are bitwise theirs.
-    """
-    xd, od = x.data, out.data
-    if xd.shape != od.shape or xd.ndim < 1:
-        raise ValueError(f"residual_norm needs x and out of one shape (..., d), got x {xd.shape} and out {od.shape}")
-    if gain.data.shape != xd.shape[-1:] or bias.data.shape != xd.shape[-1:]:
-        raise ValueError(f"residual_norm needs gain and bias (d,) = {xd.shape[-1:]} for x {xd.shape}, "
-                         f"got gain {gain.data.shape} and bias {bias.data.shape}")
-    _check_same_dtype(x, out, gain, bias)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"residual_norm dropout rate must be in [0, 1), got {rate}")
-    mask = None
-    if rate > 0.0:
-        if rng is None:
-            raise ValueError(f"residual_norm needs an rng to drop out at rate {rate}")
-        mask = _keep_mask(rng, od.shape, rate)
-        od = od * _keep_scale(mask, rate, od.dtype)
-    out_data, xhat, inv = _layer_norm(xd + od, gain.data, bias.data, _NORM_EPS)
-
-    def bwd(g):
-        d_sum, pairs = _layer_norm_grad(g, xhat, inv, gain, bias, x.requires_grad or out.requires_grad)
-        head = []
-        if x.requires_grad:
-            head.append((x, d_sum))
-        if out.requires_grad:
-            head.append((out, d_sum if mask is None else d_sum * _keep_scale(mask, rate, out.data.dtype)))
-        return head + pairs
-
-    return _result(out_data, (x, out, gain, bias), bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     _check_same_dtype(*tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def bwd(g):
-        pairs = []
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis if axis >= 0 else g.ndim + axis] = slice(start, stop)
-                pairs.append((t, g[tuple(idx)]))
-        return pairs
+        grads = []
+        for start, stop in zip(offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis if axis >= 0 else g.ndim + axis] = slice(start, stop)
+            grads.append(g[tuple(idx)])  # a view, so one for an input that takes none costs nothing
+        return grads
 
     return _result(out_data, tuple(tensors), bwd)
 
@@ -594,11 +459,12 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * nd
     idx[ax] = slice(start, stop)
     out_data = a.data[tuple(idx)]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype=dtype)
         full[tuple(idx)] = g
-        return [(a, full)]
+        return (full,)
 
     return _result(out_data, (a,), bwd)
 
@@ -610,38 +476,42 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise ValueError(f"embedding id out of range [0, {v})")
     out_data = table.data[ids]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
-        return [(table, dt)]
+        dt = np.zeros(shape, dtype=dtype)
+        np.add.at(dt, ids.ravel(), g.reshape(-1, shape[1]))
+        return (dt,)
 
     return _result(out_data, (table,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
+    in_shape = a.data.shape
 
     def bwd(g):
-        return [(a, g.reshape(a.data.shape))]
+        return (g.reshape(in_shape),)
 
     return _result(out_data, (a,), bwd)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
     out_data = np.broadcast_to(a.data, shape)
+    in_shape = a.data.shape
 
     def bwd(g):
-        return [(a, _unbroadcast(g, a.data.shape))]
+        return (_unbroadcast(g, in_shape),)
 
     return _result(out_data, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    in_shape = a.data.shape
 
     def bwd(g):
-        return [(a, np.broadcast_to(g, a.data.shape))]
+        return (np.broadcast_to(g, in_shape),)
 
     return _result(out_data, (a,), bwd)
 
@@ -649,9 +519,10 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     out_data = np.asarray(a.data.mean(), dtype=a.data.dtype)
+    in_shape = a.data.shape
 
     def bwd(g):
-        return [(a, np.broadcast_to(g / n, a.data.shape))]
+        return (np.broadcast_to(g / n, in_shape),)
 
     return _result(out_data, (a,), bwd)
 
@@ -698,10 +569,10 @@ def nll_loss(logits: Tensor, targets, pad_mask=None) -> Tensor:
 
     def bwd(g):
         softmax = np.exp(log_probs)
-        onehot = np.zeros_like(d)
+        onehot = np.zeros_like(log_probs)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
         weight = (m / steps[..., None])[..., None] / n_seq
-        return [(logits, g * weight * (softmax - onehot))]
+        return (g * weight * (softmax - onehot),)
 
     return _result(out_data, (logits,), bwd)
 
@@ -713,35 +584,26 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None, mask
     pattern, e.g. for gradient checking.  The node keeps the boolean mask and
     rebuilds its scaled float form in the backward.
     """
-    if rate <= 0.0:
-        return a
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return a
     if mask is None:
         if rng is None:
             raise ValueError("dropout needs an rng or an explicit mask")
-        mask = _keep_mask(rng, a.data.shape, rate)
+        mask = rng.random(a.data.shape) >= rate
     else:
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != a.data.shape:
             raise ValueError(f"dropout mask must be boolean with the input's shape {a.data.shape}, "
                              f"got {mask.dtype.name} {mask.shape}")
-    out_data = a.data * _keep_scale(mask, rate, a.data.dtype)
+    dtype = a.data.dtype
+    out_data = a.data * (mask.astype(dtype) / np.array(1.0 - rate, dtype=dtype))
 
     def bwd(g):
-        return [(a, g * _keep_scale(mask, rate, a.data.dtype))]
+        return (g * (mask.astype(dtype) / np.array(1.0 - rate, dtype=dtype)),)
 
     return _result(out_data, (a,), bwd)
-
-
-def _keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """Dropout's boolean keep mask: one uniform draw per element."""
-    return rng.random(shape) >= rate
-
-
-def _keep_scale(mask: np.ndarray, rate: float, dtype) -> np.ndarray:
-    """The scaled float form of a keep mask, built anew when needed rather than kept."""
-    return mask.astype(dtype) / np.array(1.0 - rate, dtype=dtype)
 
 
 def _accumulate(total, step):
@@ -776,7 +638,8 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
 
     xs, wx, wh, bias = x.data, w_x.data, w_h.data, b.data
     dtype = xs.dtype
-    track = _grad_enabled and any(p.requires_grad for p in (x, w_x, w_h, b))
+    x_grad, w_x_grad, w_h_grad, b_grad = (p.requires_grad for p in (x, w_x, w_h, b))
+    track = _grad_enabled and (x_grad or w_x_grad or w_h_grad or b_grad)
     h = np.zeros((bsz, d), dtype=dtype)
     c = np.zeros((bsz, d), dtype=dtype)
     out_data = np.empty((bsz, n, d), dtype=dtype)
@@ -797,7 +660,7 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
         out_data[:, t, :] = h
 
     def bwd(g_out):
-        dx = np.empty_like(xs) if x.requires_grad else None
+        dx = np.empty_like(xs) if x_grad else None
         dw_x = dw_h = db = None
         dh = dc = None  # what reaches the masked h and c of a step from the step after it
         while saved:  # last step first, each step's arrays dropped once used
@@ -814,18 +677,18 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
             d_act[:, 3 * d :] = dh_new * tanh_c
             d_pre = (d_act * act) * (1.0 - act)
             d_pre[:, 2 * d : 3 * d] = d_act[:, 2 * d : 3 * d] * (1.0 - g * g)
-            if dx is not None:
+            if x_grad:
                 dx[:, t, :] = d_pre @ np.swapaxes(wx, -1, -2)
-            if w_x.requires_grad:
+            if w_x_grad:
                 dw_x = _accumulate(dw_x, np.swapaxes(x_t, -1, -2) @ d_pre)
-            if w_h.requires_grad:
+            if w_h_grad:
                 dw_h = _accumulate(dw_h, np.swapaxes(h_prev, -1, -2) @ d_pre)
-            if b.requires_grad:
+            if b_grad:
                 db = _accumulate(db, d_pre.sum(axis=(0,)))
             if saved:  # the first step's zero start states take no gradient
                 dh = d_pre @ np.swapaxes(wh, -1, -2)
                 dc = dc_new * f
-        return [(p, grad) for p, grad in ((x, dx), (w_x, dw_x), (w_h, dw_h), (b, db)) if grad is not None]
+        return dx, dw_x, dw_h, db
 
     return _result(out_data, (x, w_x, w_h, b), bwd)
 

@@ -150,11 +150,11 @@ class QaTransformerModel(Seq2Seq):
         return self._dropout(x, train)
 
     def _sublayer(self, x: Tensor, out: Tensor, gain: Tensor, bias: Tensor, train: bool) -> Tensor:
-        rate = self.config.dropout if train else 0.0
-        return T.residual_norm(x, out, gain, bias, rate, self._drop_rng)
+        return T.layer_norm(T.add(x, self._dropout(out, train)), gain, bias)
 
     def _ffn(self, blk: _Block, x: Tensor) -> Tensor:
-        return T.feed_forward(x, blk.w1, blk.b1, blk.w2, blk.b2)
+        hidden = T.relu(T.linear(x, blk.w1, blk.b1))
+        return T.linear(hidden, blk.w2, blk.b2)
 
     def _run_block(self, blk: _Block, x: Tensor, kv: Tensor, mask, train: bool) -> Tensor:
         attn, _ = multi_head(blk.mh, x, kv, kv, mask=mask)

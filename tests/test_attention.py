@@ -194,11 +194,23 @@ def test_attention_gradients_flow():
         assert p.tensor.grad is not None
 
 
-def _chain_attention(q, k, v, mask):
-    """The primitive ops tensor.attention fuses, as scaled_dot_attention composed them."""
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
-    weights = T.softmax_rows(scores, mask=mask)
-    return T.matmul(weights, v), weights
+def _numpy_attention(q, k, v, mask, g):
+    """The chain's numpy calls, forward and backward, written out: (context, weights, dq, dk, dv) for d context = g."""
+    kt = np.swapaxes(k, -2, -1)
+    scores = (q @ kt) * np.array(float(1.0 / np.sqrt(q.shape[-1])), dtype=q.dtype)
+    m = None if mask is None else np.broadcast_to(mask, scores.shape)
+    if m is not None:
+        scores = np.where(m, scores, np.array(-1e9, dtype=scores.dtype))
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = ex / ex.sum(axis=-1, keepdims=True)
+    if m is not None:
+        weights = weights * m
+    g_weights = g @ np.swapaxes(v, -1, -2)
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    g_scores = g_scores * np.array(float(1.0 / np.sqrt(q.shape[-1])), dtype=q.dtype)
+    dq = g_scores @ np.swapaxes(kt, -1, -2)
+    dk = np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -2, -1)
+    return weights @ v, weights, dq, dk, np.swapaxes(weights, -1, -2) @ g
 
 
 def _heads(rng, b, n, h, d, dtype):
@@ -211,6 +223,7 @@ def _heads(rng, b, n, h, d, dtype):
     ("none", 6, 6), ("key_padding", 5, 7), ("causal", 6, 6), ("decode", 1, 7), ("decode_key_padding", 1, 7),
 ])
 def test_attention_is_bitwise_the_primitive_chain(dtype, case, a_len, n):
+    """On the tape, scaled_dot_attention's values and gradients are bitwise its ops' numpy calls."""
     rng = np.random.default_rng(60 + a_len + n)
     b, h, d_k, d_v = 3, 2, 3, 5  # 1/sqrt(3) rounds, so scaling before or after the product differs
     q, k, v = _heads(rng, b, a_len, h, d_k, dtype), _heads(rng, b, n, h, d_k, dtype), _heads(rng, b, n, h, d_v, dtype)
@@ -218,21 +231,18 @@ def test_attention_is_bitwise_the_primitive_chain(dtype, case, a_len, n):
             "key_padding": length_mask([n, 1, 4], n)[:, None, None, :],
             "decode_key_padding": length_mask([n, 1, 4], n)[:, None, None, :]}.get(case)
     probe = Tensor(rng.standard_normal((b, h, a_len, d_v)), dtype=dtype)
-    runs = []
-    for attend in (_chain_attention, T.attention):
-        for t in (q, k, v):
-            t.zero_grad()
-        context, weights = attend(q, k, v, mask)
-        backward(T.sum_all(T.mul(context, probe)))
-        runs.append([context.data, weights.data, q.grad, k.grad, v.grad])
-    for name, ref, got in zip(["context", "weights", "q", "k", "v"], *runs):
+    context, weights = scaled_dot_attention(q, k, v, mask)
+    backward(T.sum_all(T.mul(context, probe)))
+    want = _numpy_attention(q.data, k.data, v.data, mask, probe.data)
+    for name, ref, got in zip(["context", "weights", "q", "k", "v"], want,
+                              [context.data, weights.data, q.grad, k.grad, v.grad]):
         assert got.dtype == dtype and np.array_equal(ref, got), name
     if mask is not None:
-        assert np.all(runs[1][1][~np.broadcast_to(mask, runs[1][1].shape)] == 0.0)
-    assert not weights.requires_grad and weights._backward is None  # data only
+        assert np.all(weights.data[~np.broadcast_to(mask, weights.shape)] == 0.0)
     with T.no_grad():
-        context, _ = T.attention(q, k, v, mask)
-    assert not context.requires_grad and context._backward is None and np.array_equal(context.data, runs[1][0])
+        context, weights = scaled_dot_attention(q, k, v, mask)
+    assert not context.requires_grad and context._backward is None and np.array_equal(context.data, want[0])
+    assert not weights.requires_grad and weights._backward is None
 
 
 @pytest.mark.parametrize("q_shape, k_shape, v_shape, mask_shape, match", [
@@ -245,13 +255,15 @@ def test_attention_is_bitwise_the_primitive_chain(dtype, case, a_len, n):
 ])
 def test_attention_rejects_bad_operands(q_shape, k_shape, v_shape, mask_shape, match):
     mask = None if mask_shape is None else np.ones(mask_shape, dtype=bool)
+    q = Tensor(np.zeros(q_shape), requires_grad=True)
     with pytest.raises(ValueError, match=match):
-        T.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), mask=mask)
+        scaled_dot_attention(q, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), mask=mask)
+    assert q._node is None  # rejected before the first op read q
 
 
 def test_attention_fully_masked_row_rejected():
     mask = np.ones((2, 3, 5), dtype=bool)
     mask[1, 2] = False
     with pytest.raises(ValueError, match="softmax row is fully masked"):
-        T.attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 5, 4))),
-                    mask=mask)
+        scaled_dot_attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 5, 4))),
+                             mask=mask)

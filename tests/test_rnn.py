@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from qatip import rnn
 from qatip import tensor as T
 from qatip.attention import length_mask
 from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads, perturb_params
 from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, bilstm_encode, qa_attention, selective_gate
 from qatip.tensor import ParamStore, Tensor
+from tape_walk import retained_buffers
 
 
 def tiny_model(variant="both", d=2, e=3, vocab=9, seed=0, dtype=np.float64):
@@ -331,3 +333,27 @@ def test_parameter_gradients_match_finite_differences():
     params = {p.name: p.tensor for p in model.params.parameters()}
     err = check_grads(params, lambda: model.forward_loss(batch))
     assert err < 1e-3, f"worst relative error {err:.2e}"
+
+
+def test_tape_keeps_no_per_step_attention_pre_activation(monkeypatch):
+    # 2d = 10 differs from every length: batch 3, review 7, query 3, tip input 5
+    model = tiny_model(d=5, e=4, vocab=12, dtype=np.float32)
+    rng = np.random.default_rng(2)
+    batch = make_batch([Triplet(tuple(rng.integers(3, 12, 7)), tuple(rng.integers(3, 12, 3)),
+                                (1,) + tuple(rng.integers(3, 12, 4)) + (2,), "", "", "", str(i)) for i in range(3)])
+    pre_activations = []  # each decoder step's c, held here so that no buffer id is reused
+    attend = rnn.attend_review
+
+    def recorded(h_tilde, c, v, mask):
+        pre_activations.append(c.data)
+        return attend(h_tilde, c, v, mask)
+
+    monkeypatch.setattr(rnn, "attend_review", recorded)
+    buffers = retained_buffers(model.forward_loss(batch, train=True))
+
+    steps = batch.tip_input.shape[1]
+    assert len(pre_activations) == steps and all(c.shape == (3, 7, 10) for c in pre_activations)
+    assert not any(b is c for b in buffers for c in pre_activations)
+    # what is held at that shape: each step's tanh(c), which its backward reads, plus the encoder's
+    # states H, the gate and H~ = gate * H, which products read; no matmul or add output of c
+    assert sum(b.shape == (3, 7, 10) for b in buffers) == steps + 3

@@ -9,6 +9,7 @@ from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads
 from qatip.tensor import Tensor
 from qatip.transformer import QaTransformerModel, TransformerConfig, fuse
+from tape_walk import retained_buffers
 
 
 def tiny_config(variant="both", **kw):
@@ -220,40 +221,6 @@ def test_parameter_gradients_match_finite_differences():
     assert err < 1e-3, f"worst relative error {err:.2e}"
 
 
-def _retained_buffers(loss):
-    """The ndarrays the tape behind ``loss`` keeps alive, once per base buffer.
-
-    That is every node's data and every array its backward closure captured
-    (directly, in a list or tuple, or in a function it calls); views count as
-    the buffer they view.
-    """
-    buffers, seen = {}, set()  # seen: the ids of the nodes and functions walked
-
-    def keep(value):
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                keep(item)
-        elif getattr(value, "__closure__", None) and id(value) not in seen:
-            seen.add(id(value))
-            for cell in value.__closure__:
-                keep(cell.cell_contents)
-        elif isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
-            buffers[id(value)] = value
-
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        keep(node.data)
-        keep(node._backward)
-        stack.extend(node._parents)
-    return list(buffers.values())
-
-
 def _dropout_model_and_batch():
     # head width 8 and ffn width 24 differ from every length (review 5, query 3, tip input 4)
     cfg = tiny_config(model_dim=16, num_heads=2, ffn_dim=24, dropout=0.25)
@@ -283,7 +250,7 @@ def test_tape_keeps_one_score_array_per_attention_and_no_pre_activation(monkeypa
     monkeypatch.setattr(attention, "scaled_dot_attention", counted_attend)
     monkeypatch.setattr(QaTransformerModel, "_ffn", counted_ffn)
     loss = model.forward_loss(batch, train=True)
-    buffers = _retained_buffers(loss)
+    buffers = retained_buffers(loss)
 
     # review block + query block + 2 encoder layers + 2 x (self, cross) in the decoder
     assert len(score_shapes) == 8 and all(shape[:2] == (2, 2) for shape in score_shapes)
@@ -309,8 +276,8 @@ def test_tape_keeps_no_pre_norm_sum_and_no_dropout_output_per_sublayer(monkeypat
 
     def counted_sublayer(self, x, out, gain, bias, train):
         y = sublayer(self, x, out, gain, bias, train)
-        before = {id(b) for t in (x, out) for b in _retained_buffers(t)}
-        added.append([b for b in _retained_buffers(y) if id(b) not in before and b.shape == x.shape])
+        before = {id(b) for t in (x, out) for b in retained_buffers(t)}
+        added.append([b for b in retained_buffers(y) if id(b) not in before and b.shape == x.shape])
         return y
 
     monkeypatch.setattr(QaTransformerModel, "_sublayer", counted_sublayer)
