@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import json_type_mismatch
+from .config import json_type_mismatch, without_retired_keys
 from .models import FAMILIES
 
 MAGIC = b"QTIP"
@@ -41,8 +41,12 @@ def model_from_config(config: Mapping):
 
     Each field must hold a JSON value of its declared type (integers are
     sizes, >= 1; the float is finite) and pass the family config's own
-    checks; anything else raises ``CheckpointError`` naming the field.
+    checks, and a retired key its one value; anything else raises
+    ``CheckpointError`` naming the field.
     """
+    if not isinstance(config, Mapping):
+        raise CheckpointError(f"config is not a JSON object, got {config!r}")
+    config = without_retired_keys(config, CheckpointError)
     family = config.get("family")
     cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:

@@ -43,9 +43,6 @@ class RunConfig:
     num_heads: int = 8
     num_layers: int = 6
     ffn_dim: int = 0
-    tie_output: bool = True
-    query_block_depth: int = 1
-    share_query_block: bool = True
     # rnn dims
     emb_dim: int = 128
     hidden_dim: int = 256
@@ -64,7 +61,7 @@ class RunConfig:
                 f"tokenize_mode must be one of {TOKENIZE_MODES}, got {self.tokenize_mode!r}"
             )
         for key in ("review_max_len", "query_max_len", "tip_max_len", "batch_size", "model_dim",
-                    "num_heads", "num_layers", "emb_dim", "hidden_dim", "query_block_depth"):
+                    "num_heads", "num_layers", "emb_dim", "hidden_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.epochs < 0:
@@ -94,6 +91,20 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+# removed options, each with the one value every run used; older configs and checkpoint headers hold them
+RETIRED_KEYS = {"tie_output": True, "share_query_block": True, "query_block_depth": 1}
+
+
+def without_retired_keys(doc: dict, error: type[ValueError] = ConfigError) -> dict:
+    """``doc`` without its retired keys.  Each must hold its ``RETIRED_KEYS`` value, of the
+    same type (JSON ``true`` is not 1); any other value raises ``error`` naming the key."""
+    present = [key for key in RETIRED_KEYS if key in doc]
+    for key in present:
+        if type(doc[key]) is not type(RETIRED_KEYS[key]) or doc[key] != RETIRED_KEYS[key]:
+            raise error(f"{key} must be {RETIRED_KEYS[key]!r} (the option is retired), got {doc[key]!r}")
+    return {k: v for k, v in doc.items() if k not in RETIRED_KEYS} if present else doc
+
+
 # the JSON values that can fill a dataclass field of each declared type
 _JSON_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -113,6 +124,7 @@ def json_type_mismatch(field_type: str, value) -> str | None:
 def run_config_from_dict(doc: dict, check_paths: bool = True) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document is not a JSON object")
+    doc = without_retired_keys(doc)
     unknown = sorted(set(doc) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -21,6 +21,7 @@ Scoring conventions (mirrored exactly by the test oracles):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ class BeamConfig:
             raise ValueError("beam width must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"beam alpha must be finite, got {self.alpha}")
 
 
 def masked_log_softmax(logits, ban_tokens=(UNK_ID,)) -> np.ndarray:

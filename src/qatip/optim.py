@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import Parameter, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def _tensors(params) -> list[Tensor]:
     return [p.tensor if isinstance(p, Parameter) else p for p in params]
@@ -31,36 +33,32 @@ def clip_global_norm(params, max_norm: float = 5.0) -> float:
 
 
 class Adam:
-    """Adam update: p <- p - lr * m_hat / (sqrt(v_hat) + eps).
+    """Adam update: p <- p - lr * m_hat / (sqrt(v_hat) + EPS), with moment decays BETA1 and BETA2.
 
-    eps sits outside the square root, so a first step on any nonzero
+    EPS sits outside the square root, so a first step on any nonzero
     gradient moves each coordinate by almost exactly lr.
     """
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.001):
         self.params = _tensors(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _grad_enabled = True
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
 class no_grad:
@@ -409,14 +410,14 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _result(out_data, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     _check_same_dtype(a, gain, bias)
     d = a.data
     mu = d.mean(axis=-1, keepdims=True)
     xc = d - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.array(eps, dtype=d.dtype))
+    inv = 1.0 / np.sqrt(var + np.array(LAYER_NORM_EPS, dtype=d.dtype))
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
     a_grad, gain_grad, bias_grad = a.requires_grad, gain.requires_grad, bias.requires_grad
@@ -547,6 +548,8 @@ def nll_loss(logits: Tensor, targets, pad_mask=None) -> Tensor:
         m = np.ones(targets.shape, dtype=d.dtype)
     else:
         m = np.asarray(pad_mask).astype(d.dtype)
+        if m.shape != targets.shape:
+            raise ValueError(f"pad_mask shape {m.shape} does not match targets {targets.shape}")
     steps = m.sum(axis=-1)
     if np.any(steps == 0):
         raise ValueError("nll_loss: a sequence has all positions masked")

@@ -1,8 +1,9 @@
 """Transformer tip generator with query-aware encoder/decoder variants.
 
 The review stream is always contextualized by one self-attention block
-(H_r).  A review-aligned query summary (H_q) is produced by attending review
-positions over query tokens.  Variants wire the two together:
+(H_r).  A review-aligned query summary (H_q) is produced by one query block,
+in which review positions attend over query tokens; it feeds both fusions.
+Variants wire the two together:
 
   vanilla: stack over H_r, decoder reads the stack output; query unused
   qa_enc:  stack over [H_q; H_r] W_enc
@@ -11,6 +12,7 @@ positions over query tokens.  Variants wire the two together:
 
 Decoding positions see a causal self-attention mask; PAD positions are
 masked out of every attention softmax, so padding never shifts a logit.
+The output layer is tied to the token embedding.
 """
 
 from __future__ import annotations
@@ -46,17 +48,12 @@ class TransformerConfig:
     dropout: float = 0.1
     variant: str = "both"
     max_len: int = 512
-    query_block_depth: int = 1
-    share_query_block: bool = True
-    tie_output: bool = True
 
     def __post_init__(self):
         if self.ffn_dim == 0:
             self.ffn_dim = 4 * self.model_dim
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.query_block_depth < 1:
-            raise ValueError("query_block_depth must be >= 1")
         if self.ffn_dim < self.model_dim:
             raise ValueError("ffn_dim must be >= model_dim")
         if self.variant not in VARIANTS:
@@ -68,8 +65,7 @@ class TransformerConfig:
         return cls(
             vocab_size=vocab_size, model_dim=run.model_dim, num_heads=run.num_heads,
             num_layers=run.num_layers, ffn_dim=run.ffn_dim, dropout=run.dropout,
-            variant=run.variant, query_block_depth=run.query_block_depth,
-            share_query_block=run.share_query_block, tie_output=run.tie_output,
+            variant=run.variant,
             # the position table covers BOS/EOS plus the longest sequence the run encodes
             max_len=2 + max(run.review_max_len, run.query_max_len, run.tip_max_len),
         )
@@ -120,15 +116,7 @@ class QaTransformerModel(Seq2Seq):
         self.emb = store.glorot("emb", (cfg.vocab_size, d))
         self.pe = Tensor(sinusoidal_positions(cfg.max_len, d, dtype=self.dtype))
 
-        self._needs_query = cfg.variant != "vanilla"
-        self.query_blocks: list[_Block] = []
-        self.query_blocks_dec: list[_Block] = []
-        if self._needs_query:
-            self.query_blocks = [_Block(store, f"qblock.{i}", cfg) for i in range(cfg.query_block_depth)]
-            if not cfg.share_query_block and cfg.variant in ("qa_dec", "both"):
-                self.query_blocks_dec = [
-                    _Block(store, f"qblock_dec.{i}", cfg) for i in range(cfg.query_block_depth)
-                ]
+        self.query_block = _Block(store, "qblock.0", cfg) if cfg.variant != "vanilla" else None
 
         self.review_block = _Block(store, "review_block", cfg)
         self.enc_layers = [_Block(store, f"enc.{i}", cfg) for i in range(cfg.num_layers)]
@@ -136,7 +124,6 @@ class QaTransformerModel(Seq2Seq):
 
         self.w_enc = store.glorot("fuse.w_enc", (2 * d, d)) if cfg.variant in ("qa_enc", "both") else None
         self.w_dec = store.glorot("fuse.w_dec", (2 * d, d)) if cfg.variant in ("qa_dec", "both") else None
-        self.w_out = None if cfg.tie_output else store.glorot("w_out", (cfg.vocab_size, d))
 
     # ----- building blocks
 
@@ -163,15 +150,6 @@ class QaTransformerModel(Seq2Seq):
 
     # ----- encoder side
 
-    def _query_summary(self, blocks: list[_Block], e_r: Tensor, e_q: Tensor,
-                       query_mask: np.ndarray, train: bool) -> Tensor:
-        """Review-aligned query representation: review rows attend over query tokens."""
-        h = e_r
-        kv_mask = query_mask[:, None, :]  # every review row sees real query tokens
-        for blk in blocks:
-            h = self._run_block(blk, h, e_q, kv_mask, train)
-        return h
-
     def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False) -> dict:
         """Decoding context: each decoder layer's projected cross-attention (K, V) and the ``review_mask``."""
         cfg = self.config
@@ -184,11 +162,11 @@ class QaTransformerModel(Seq2Seq):
         h_r = self._run_block(self.review_block, e_r, e_r, review_mask[:, None, :], train)
 
         h_q = None
-        if self._needs_query:
+        if self.query_block is not None:
+            # review-aligned query summary: every review row attends over the real query tokens
             q_ids, q_len = nonempty(query_ids, query_lengths)
             q_mask = length_mask(q_len, q_ids.shape[1])
-            e_q = self._embed(q_ids, train)
-            h_q = self._query_summary(self.query_blocks, e_r, e_q, q_mask, train)
+            h_q = self._run_block(self.query_block, e_r, self._embed(q_ids, train), q_mask[:, None, :], train)
 
         if cfg.variant in ("qa_enc", "both"):
             memory = fuse(h_q, h_r, self.w_enc)
@@ -198,9 +176,6 @@ class QaTransformerModel(Seq2Seq):
             memory = self._run_block(blk, memory, memory, review_mask[:, None, :], train)
 
         if cfg.variant in ("qa_dec", "both"):
-            if self.query_blocks_dec:
-                e_q = self._embed(q_ids, train)
-                h_q = self._query_summary(self.query_blocks_dec, e_r, e_q, q_mask, train)
             memory = fuse(h_q, memory, self.w_dec)
         cross = [project_kv(blk.cross, memory, memory) for blk in self.dec_layers]
         return {"cross": cross, "review_mask": review_mask}
@@ -217,8 +192,7 @@ class QaTransformerModel(Seq2Seq):
         return self._sublayer(x, self._ffn(blk, x), blk.ln2_g, blk.ln2_b, train)
 
     def _output_logits(self, x: Tensor) -> Tensor:
-        proj = self.emb if self.w_out is None else self.w_out
-        return T.linear(x, T.transpose(proj))
+        return T.linear(x, T.transpose(self.emb))
 
     def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
         tip_input = np.asarray(tip_input, dtype=np.int64)

@@ -237,8 +237,8 @@ def test_model_from_config_validation():
     (tiny_transformer, "max_len", -1, "max_len has invalid value -1"),
     (tiny_transformer, "num_heads", 0, "num_heads has invalid value 0"),
     (tiny_transformer, "num_heads", 3, "model_dim 8 not divisible by num_heads 3"),
-    (tiny_transformer, "tie_output", "yes", "tie_output must be a boolean"),
-    (tiny_transformer, "share_query_block", 1, "share_query_block must be a boolean"),
+    (tiny_transformer, "tie_output", "yes", r"tie_output must be True \(the option is retired\), got 'yes'$"),
+    (tiny_transformer, "share_query_block", 1, r"share_query_block must be True \(the option is retired\), got 1$"),
 ])
 def test_ill_typed_config_field_is_located(tmp_path, make, field, value, match):
     model = make()
@@ -249,6 +249,45 @@ def test_ill_typed_config_field_is_located(tmp_path, make, field, value, match):
     save_checkpoint(model, config, path)  # the header holds the field as written
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+RETIRED_AT_THEIR_VALUES = {"tie_output": True, "share_query_block": True, "query_block_depth": 1}
+
+
+def test_retired_keys_at_their_values_load(tmp_path):
+    model = tiny_transformer()
+    path = save_path(tmp_path)
+    save_checkpoint(model, {**model.config_dict(), **RETIRED_AT_THEIR_VALUES}, path)
+    loaded, config = load_checkpoint(path)
+    assert config["tie_output"] is True  # the header is returned as written
+    assert loaded.params.names() == model.params.names()
+    for p, q in zip(model.params.parameters(), loaded.params.parameters()):
+        np.testing.assert_array_equal(p.tensor.data, q.tensor.data)
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("tie_output", False, True), ("share_query_block", False, True),
+    ("query_block_depth", 2, 1), ("query_block_depth", True, 1),
+])
+def test_retired_key_at_another_value_is_refused(tmp_path, key, value, want):
+    model = tiny_transformer()
+    config = {**model.config_dict(), **RETIRED_AT_THEIR_VALUES, key: value}
+    match = rf"^{key} must be {want} \(the option is retired\), got {value}$"
+    with pytest.raises(CheckpointError, match=match):
+        model_from_config(config)
+    path = save_path(tmp_path)
+    save_checkpoint(model, config, path)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [5, [], "transformer", None])
+def test_config_that_is_not_an_object_is_located(tmp_path, config):
+    def edit(header):
+        header["config"] = config
+
+    with pytest.raises(CheckpointError, match=r"^config is not a JSON object, got "):
+        load_checkpoint(rewritten_header(tmp_path, tiny_rnn(), edit))
 
 
 def test_extra_config_keys_are_preserved(tmp_path):

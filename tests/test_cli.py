@@ -182,14 +182,14 @@ def test_generate_rejects_same_size_vocab_with_other_tokens(workdir, capsys, tmp
     assert main(["generate", "--checkpoint", unmarked] + common) == 0
 
 
-def train_variant(workdir, tmp_path, **changes):
-    """A zero-epoch checkpoint of the shared config with ``changes`` applied."""
+def train_variant(workdir, tmp_path, epochs=0, **changes):
+    """A checkpoint after ``epochs`` epochs of the shared config with ``changes`` applied."""
     config = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
     config.update(changes)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "variant"
-    assert main(["train", "--config", str(path), "--out", str(out), "--epochs", "0"]) == 0
+    assert main(["train", "--config", str(path), "--out", str(out), "--epochs", str(epochs)]) == 0
     return str(out / "final.qtip")
 
 
@@ -225,6 +225,58 @@ def test_generate_rejects_max_len_past_position_table(workdir, capsys, tmp_path)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CliError"
     assert "max_len 15" in err["message"] and "14 positions" in err["message"]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_generate_rejects_non_finite_alpha(workdir, capsys, tmp_path, alpha):
+    out = tmp_path / "g.jsonl"
+    assert main(["generate", "--checkpoint", workdir["checkpoint"], "--vocab", workdir["vocab"],
+                 "--data", workdir["data"], "--out", str(out), f"--alpha={alpha}"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()  # the error record, no summary: nothing decoded
+    err = json.loads(line)
+    assert err["error"] == "ValueError" and err["message"] == f"beam alpha must be finite, got {float(alpha)}"
+    assert not out.exists()
+
+
+RETIRED_AT_THEIR_VALUES = {"tie_output": True, "share_query_block": True, "query_block_depth": 1}
+TINY_TRANSFORMER = dict(arch="transformer", model_dim=8, num_heads=2, num_layers=1, ffn_dim=16)
+
+
+def test_config_file_with_retired_keys_still_trains(workdir, capsys, tmp_path):
+    checkpoint = train_variant(workdir, tmp_path, epochs=1, **TINY_TRANSFORMER, **RETIRED_AT_THEIR_VALUES)
+    (epoch, _) = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(epoch)["steps"] > 0
+    from qatip.checkpoint import load_checkpoint
+
+    _, snapshot = load_checkpoint(checkpoint)
+    assert not set(RETIRED_AT_THEIR_VALUES) & (set(snapshot) | set(snapshot["run"]))
+
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps({**json.loads(Path(workdir["config"]).read_text(encoding="utf-8")),
+                                "share_query_block": False}), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "refused")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == "share_query_block must be True (the option is retired), got False"
+
+
+def test_generate_reads_a_checkpoint_with_retired_keys(workdir, capsys, tmp_path):
+    from qatip.checkpoint import load_checkpoint, save_checkpoint
+
+    checkpoint = train_variant(workdir, tmp_path, **TINY_TRANSFORMER)
+    model, snapshot = load_checkpoint(checkpoint)
+    # the header as written before the options were retired: in the model config and in the run
+    old = str(tmp_path / "old.qtip")
+    save_checkpoint(model, {**snapshot, **RETIRED_AT_THEIR_VALUES,
+                            "run": {**snapshot["run"], **RETIRED_AT_THEIR_VALUES}}, old)
+    tips = []
+    for path in (checkpoint, old):
+        out = str(tmp_path / "g.jsonl")
+        assert main(["generate", "--checkpoint", path, "--vocab", workdir["vocab"],
+                     "--data", workdir["data"], "--out", out]) == 0
+        tips.append(open(out, "rb").read())
+    capsys.readouterr()
+    assert tips[0] == tips[1] and tips[0]
 
 
 def test_evaluate_identical_prints_bleu_100(workdir, capsys, tmp_path):

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -53,8 +56,10 @@ def test_type_errors():
         run_config_from_dict({"lr": "fast"})
     with pytest.raises(ConfigError, match="data must be a string"):
         run_config_from_dict({"data": 7})
-    with pytest.raises(ConfigError, match="tie_output must be a boolean"):
-        run_config_from_dict({"tie_output": 1})
+    with pytest.raises(ConfigError, match="split_data must be a boolean"):
+        run_config_from_dict({"split_data": 1})
+    with pytest.raises(ConfigError, match="split_data must be a boolean"):
+        run_config_from_dict({"split_data": "yes"})
 
 
 def test_value_validation():
@@ -137,6 +142,29 @@ def test_training_and_decoding_settings_rejected(key, value):
         run_config_from_dict({key: value})
 
 
+def test_retired_keys_at_their_values_are_dropped():
+    assert run_config_from_dict({"tie_output": True, "share_query_block": True, "query_block_depth": 1,
+                                 "epochs": 3}) == RunConfig(epochs=3)
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("tie_output", False, True), ("share_query_block", False, True),
+    ("query_block_depth", 2, 1), ("query_block_depth", True, 1), ("tie_output", 1, True),
+])
+def test_retired_key_at_another_value_rejected(key, value, want):
+    with pytest.raises(ConfigError, match=rf"^{key} must be {want} \(the option is retired\), got {value}$"):
+        run_config_from_dict({key: value})
+
+
 def test_settings_at_their_bounds_accepted():
     config = run_config_from_dict({"grad_clip": 1e-6, "dropout": 0.0, "beam_width": 1})
     assert (config.grad_clip, config.dropout, config.beam_width) == (1e-6, 0.0, 1)
+
+
+def test_readme_documents_every_run_config_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
+    documented = [(key, json.loads(default)) for key, default in rows]
+    defaults = [(f.name, f.default) for f in dataclasses.fields(RunConfig)]
+    assert documented == defaults
+    assert [type(v) for _, v in documented] == [type(v) for _, v in defaults]  # 1 == True == 1.0

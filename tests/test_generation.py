@@ -162,6 +162,10 @@ def test_beam_config_validation():
         BeamConfig(max_len=3, width=0)
     with pytest.raises(ValueError, match="max_len"):
         BeamConfig(max_len=0)
+    # a NaN alpha ranks every candidate as NaN, and the beam keeps arbitrary ones
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^beam alpha must be finite, got {alpha}$"):
+            BeamConfig(max_len=3, alpha=alpha)
 
 
 def _mini_vocab():

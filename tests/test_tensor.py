@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -115,6 +116,14 @@ def test_nll_all_masked_sequence_rejected():
     mask = np.array([[1, 1, 1], [0, 0, 0]])
     with pytest.raises(ValueError, match="masked"):
         T.nll_loss(logits, targets, pad_mask=mask)
+
+
+@pytest.mark.parametrize("mask_shape", [(2, 1), (3,), (2, 3, 1), (1, 3)])
+def test_nll_pad_mask_of_another_shape_rejected(mask_shape):
+    # each of these broadcasts against the (2, 3) targets and would weigh the steps wrongly
+    logits = Tensor(np.random.default_rng(0).standard_normal((2, 3, 5)))
+    with pytest.raises(ValueError, match=rf"^pad_mask shape {re.escape(str(mask_shape))} does not match targets \(2, 3\)$"):
+        T.nll_loss(logits, np.zeros((2, 3), dtype=np.int64), pad_mask=np.ones(mask_shape))
 
 
 def test_nll_target_out_of_range_rejected():
