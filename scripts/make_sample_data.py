@@ -10,12 +10,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qatip.synthetic import (
-    corpus_tokens,
-    pipeline_corpus,
-    toy_embedding_file,
-    write_jsonl,
-)
+from qatip.corpus import write_jsonl
+from qatip.synthetic import corpus_tokens, pipeline_corpus, toy_embedding_file
 
 
 def main() -> None:

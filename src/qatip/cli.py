@@ -42,27 +42,16 @@ class CliError(ValueError):
     pass
 
 
-def _write_records(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 def _read_generated(path: str) -> list[dict]:
+    from .corpus import read_jsonl
+
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(row, dict) or "id" not in row or "tip" not in row:
-                raise CliError(f"{path} line {lineno}: expected fields id and tip")
-            if not isinstance(row["tip"], str):
-                raise CliError(f"{path} line {lineno}: tip must be a string, got {json.dumps(row['tip'])}")
-            rows.append(row)
+    for lineno, row in read_jsonl(path, CliError):
+        if "id" not in row or "tip" not in row:
+            raise CliError(f"{path} line {lineno}: expected fields id and tip")
+        if not isinstance(row["tip"], str):
+            raise CliError(f"{path} line {lineno}: tip must be a string, got {json.dumps(row['tip'])}")
+        rows.append(row)
     return rows
 
 
@@ -141,7 +130,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     from .checkpoint import load_checkpoint
-    from .corpus import UNK_ID, Vocabulary, encode_records, load_jsonl
+    from .corpus import UNK_ID, Vocabulary, encode_records, load_jsonl, write_jsonl
     from .generation import BeamConfig, batch_generate
 
     model, snapshot = load_checkpoint(args.checkpoint)
@@ -183,9 +172,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:  # settings no record can decode under
         raise CliError(str(exc)) from None
     seconds = time.perf_counter() - start
-    _write_records(
-        [{"id": r.record_id, "tip": r.tip or ""} for r in results], args.out
-    )
+    write_jsonl([{"id": r.record_id, "tip": r.tip or ""} for r in results], args.out)
     errors = [r.error for r in results if r.error]
     decoded = [r for r in results if not r.error]
     summary = {
@@ -203,7 +190,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .corpus import Triplet, load_jsonl
+    from .corpus import Triplet, load_jsonl, write_jsonl
     from .evaluation import evaluate_run
 
     refs = load_jsonl(args.ref)
@@ -223,14 +210,13 @@ def cmd_evaluate(args) -> int:
     )
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_dict()) + "\n")
+        write_jsonl([report.to_dict()], args.out)
     return 0
 
 
 def cmd_baseline(args) -> int:
     from .baselines import Bm25Params, extract_bm25, extract_embed, query_lead
-    from .corpus import load_jsonl
+    from .corpus import load_jsonl, write_jsonl
 
     records = load_jsonl(args.data, inference=True)
     if args.method == "embed":
@@ -251,7 +237,7 @@ def cmd_baseline(args) -> int:
         else:
             tip = extract_embed(review, query, table, mode=args.mode)
         rows.append({"id": rec.get("id") or str(i), "tip": tip})
-    _write_records(rows, args.out)
+    write_jsonl(rows, args.out)
     print(len(rows))
     return 0
 

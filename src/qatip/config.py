@@ -139,11 +139,14 @@ def run_config_from_dict(doc: dict, check_paths: bool = True) -> RunConfig:
 
 
 def load_run_config(path: str, check_paths: bool = True) -> RunConfig:
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        doc = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: invalid UTF-8 at byte {exc.start + 1}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer past the digit limit, or deep nesting
+        raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
     return run_config_from_dict(doc, check_paths)
 
 

@@ -13,7 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,28 +89,27 @@ class Vocabulary:
         return hashlib.sha256("".join(t + "\n" for t in self.id_to_token).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
+        # load ends a line at a line feed or carriage return and refuses an empty one
+        bad = next((t for t in self.id_to_token if not t or "\n" in t or "\r" in t), None)
+        if bad is not None:
+            raise ValueError(f"cannot save token {bad!r}: it is empty or holds a line break")
         with open(path, "w", encoding="utf-8") as fh:
-            for token in self.id_to_token:
-                fh.write(token + "\n")
+            fh.write("".join(t + "\n" for t in self.id_to_token))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        # undecodable bytes come through as lone surrogates, so the line holding them is known
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            tokens = fh.read().splitlines()
-        for lineno, token in enumerate(tokens, start=1):
-            try:
-                token.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DatasetError(f"{path} line {lineno}: invalid UTF-8") from None
-        if len(tokens) < 4 or tuple(tokens[:4]) != RESERVED_TOKENS:
-            raise DatasetError(
-                f"{path}: vocabulary file must begin with {', '.join(RESERVED_TOKENS)}"
-            )
-        try:
-            return cls(tokens)
-        except ValueError as exc:
-            raise DatasetError(f"{path}: {exc}") from None
+        ids: dict[str, int] = {}  # token -> the line it is on; one token per line
+        for lineno, token in read_lines(path, DatasetError):
+            if lineno <= len(RESERVED_TOKENS) and token != RESERVED_TOKENS[lineno - 1]:
+                break
+            if not token:
+                raise DatasetError(f"{path} line {lineno}: empty token")
+            if ids.setdefault(token, lineno) != lineno:
+                raise DatasetError(f"{path} line {lineno}: vocabulary contains duplicate token {token!r}")
+        if len(ids) < len(RESERVED_TOKENS):
+            expected = ", ".join(RESERVED_TOKENS)
+            raise DatasetError(f"{path} line {len(ids) + 1}: vocabulary file must begin with {expected}")
+        return cls(list(ids))
 
 
 def build_vocab(
@@ -214,6 +213,48 @@ def encode_records(
     return triplets
 
 
+def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line without its newline)`` for each line of a UTF-8 text file.
+
+    A line ends at a line feed, a carriage return or the pair.  Undecodable bytes
+    raise ``error`` as ``<path> line <n>: invalid UTF-8 at character <k>``.
+    """
+    # undecodable bytes come through as lone surrogates, so the line holding them is known
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise error(f"{path} line {lineno}: invalid UTF-8 at character {exc.start + 1}") from None
+            yield lineno, line.rstrip("\n")
+
+
+def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each non-blank line of a JSON-lines file.
+
+    A line that is not a JSON object raises ``error`` as ``<path> line <n>: <what>``.
+    """
+    for lineno, line in read_lines(path, error):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path} line {lineno}: invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+            raise error(f"{path} line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise error(f"{path} line {lineno}: record is not a JSON object")
+        yield lineno, rec
+
+
+def write_jsonl(records: Iterable[dict], path) -> None:
+    """Write one JSON object per line, non-ASCII text kept as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
 def load_jsonl(path, inference: bool = False) -> list[dict]:
     """Read one JSON record per line with fields review/query/tip.
 
@@ -222,36 +263,18 @@ def load_jsonl(path, inference: bool = False) -> list[dict]:
     ``inference=True``.  The optional string field ``id`` is passed through.
     """
     records = []
-    # undecodable bytes come through as lone surrogates, so the line holding them is known
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid UTF-8 at character {exc.start + 1}") from None
-            if not line.strip():
+    for lineno, rec in read_jsonl(path, DatasetError):
+        for fld in ("review", "query", "tip"):
+            value = rec.get(fld)
+            if isinstance(value, str) and value.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise DatasetError(f"line {lineno}: record is not a JSON object")
-            for fld in ("review", "query"):
-                if fld not in rec:
-                    raise DatasetError(f"line {lineno}: missing field {fld}")
-                if not isinstance(rec[fld], str) or not rec[fld].strip():
-                    raise DatasetError(f"line {lineno}: empty field {fld}")
-            tip = rec.get("tip", "")
-            if not isinstance(tip, str) or not tip.strip():
-                if not inference:
-                    if "tip" not in rec:
-                        raise DatasetError(f"line {lineno}: missing field tip")
-                    raise DatasetError(f"line {lineno}: empty field tip")
+            if fld == "tip" and inference:
                 rec["tip"] = ""
-            if "id" in rec and not isinstance(rec["id"], str):
-                raise DatasetError(f"line {lineno}: field id must be a string")
-            records.append(rec)
+                continue
+            raise DatasetError(f"{path} line {lineno}: {'empty' if fld in rec else 'missing'} field {fld}")
+        if "id" in rec and not isinstance(rec["id"], str):
+            raise DatasetError(f"{path} line {lineno}: field id must be a string")
+        records.append(rec)
     return records
 
 

@@ -9,9 +9,11 @@ arithmetic is reproducible to tight tolerances.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
+
+from .corpus import read_lines
 
 
 class EmbeddingTable:
@@ -60,70 +62,62 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _looks_like_header(fields: Sequence[str]) -> bool:
-    if len(fields) != 2:
-        return False
-    try:
-        int(fields[0]), int(fields[1])
-    except ValueError:
-        return False
-    return True
-
-
 def load_embeddings(path: str) -> EmbeddingTable:
     """Parse a word2vec text file into an :class:`EmbeddingTable`.
 
-    The first line is treated as a header iff it is exactly two integers.
-    Duplicate tokens keep the first occurrence and emit a warning; a line
-    whose arity disagrees with the established dimension is an error naming
-    the 1-based line number.
+    The first line is treated as a header iff it is exactly two integers; its
+    count must then equal the number of vector lines, duplicates included.
+    Duplicate tokens keep the first occurrence and emit a warning.  A line
+    whose arity disagrees with the established dimension, or with a component
+    that is not a finite number, is an error naming the 1-based line number.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    # undecodable bytes come through as lone surrogates, so the line holding them is known
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    declared: int | None = None
+    read = 0
+    for lineno, line in read_lines(path, ValueError):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1:
             try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"line {lineno}: invalid UTF-8") from None
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if lineno == 1 and _looks_like_header(fields):
-                dim = int(fields[1])
+                declared, dim = map(int, fields)
+            except ValueError:  # not exactly two integers, so a vector line
+                pass
+            else:
                 if dim < 1:
-                    raise ValueError(f"line 1: header dim {dim} must be >= 1")
+                    raise ValueError(f"{path} line 1: header dim {dim} must be >= 1")
                 continue
-            token, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"line {lineno}: no vector components")
-            if len(values) != dim:
-                raise ValueError(f"line {lineno}: expected {dim} dims")
-            if token in vectors:
-                warnings.warn(
-                    f"line {lineno}: duplicate token {token!r}, keeping first",
-                    stacklevel=2,
-                )
-                continue
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            vectors[token] = vec
+        token, values = fields[0], fields[1:]
+        read += 1
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ValueError(f"{path} line {lineno}: no vector components")
+        if len(values) != dim:
+            raise ValueError(f"{path} line {lineno}: expected {dim} dims")
+        if token in vectors:
+            warnings.warn(f"{path} line {lineno}: duplicate token {token!r}, keeping first", stacklevel=2)
+            continue
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        finite = np.isfinite(vec)
+        if not finite.all():
+            raise ValueError(f"{path} line {lineno}: non-finite component {values[int(finite.argmin())]}")
+        vectors[token] = vec
+    if declared is not None and declared != read:
+        raise ValueError(f"{path} line 1: header declares {declared} vectors but the file holds {read}")
     if dim is None:
-        raise ValueError("embedding file has no vectors")
+        raise ValueError(f"{path}: embedding file has no vectors")
     return EmbeddingTable(vectors, dim)
 
 
-def save_embeddings(table: EmbeddingTable, path: str, header: bool = True) -> None:
-    """Write ``table`` in the text format ``load_embeddings`` reads."""
+def save_embeddings(table: EmbeddingTable, path: str) -> None:
+    """Write ``table``, header first, in the text format ``load_embeddings`` reads."""
     with open(path, "w", encoding="utf-8") as handle:
-        if header:
-            handle.write(f"{len(table)} {table.dim}\n")
+        handle.write(f"{len(table)} {table.dim}\n")
         for token in table.tokens():
             vec = table.get(token)
             comps = " ".join(repr(float(x)) for x in vec)

@@ -8,8 +8,6 @@ reproducible from the seed.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .embeddings import EmbeddingTable, save_embeddings
@@ -130,9 +128,3 @@ def toy_embedding_file(path: str, tokens: list[str], dim: int = 16, seed: int = 
         {t: rng.standard_normal(dim) for t in tokens}, dim=dim
     )
     save_embeddings(table, path)
-
-
-def write_jsonl(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from qatip.cli import main
-from qatip.synthetic import overfit_corpus, toy_embedding_file, write_jsonl
+from qatip.corpus import write_jsonl
+from qatip.synthetic import overfit_corpus, toy_embedding_file
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,24 @@ def test_evaluate_rejects_non_string_tip_with_its_line(workdir, capsys, tmp_path
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CliError"
     assert err["message"] == f"{hyp} line 2: tip must be a string, got null"
+
+
+def test_evaluate_locates_invalid_utf8_in_hyp(workdir, capsys, tmp_path):
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_bytes(b'{"id": "ov-000", "tip": "a"}\n{"id": "ov-001", "tip": "\xff"}\n')
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", workdir["data"]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CliError"
+    assert err["message"] == f"{hyp} line 2: invalid UTF-8 at character 26"
+
+
+def test_train_config_with_invalid_utf8_is_config_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"epochs": 1, "arch": "rnn\xff"}')
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"{config}: invalid UTF-8 at byte 27"
 
 
 def test_baseline_query_lead_hand_picks(capsys, tmp_path):

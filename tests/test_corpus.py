@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qatip import corpus
@@ -95,14 +96,46 @@ class TestVocab:
     def test_load_names_duplicate_token(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("<pad>\n<bos>\n<eos>\n<unk>\ncake\ntea\ncake\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match=r"vocab\.txt: vocabulary contains duplicate token 'cake'"):
+        with pytest.raises(DatasetError, match=r"vocab\.txt line 7: vocabulary contains duplicate token 'cake'$"):
             Vocabulary.load(path)
 
     def test_load_locates_invalid_utf8(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes(b"<pad>\n<bos>\n<eos>\n<unk>\ncake\nt\xffa\n")
-        with pytest.raises(DatasetError, match=r"vocab\.txt line 6: invalid UTF-8$"):
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))} line 6: invalid UTF-8 at character 2$"):
             Vocabulary.load(path)
+
+    def test_load_rejects_blank_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<bos>\n<eos>\n<unk>\n\ncake\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))} line 5: empty token$"):
+            Vocabulary.load(path)
+
+    def test_load_locates_missing_reserved_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<bos>\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"vocab\.txt line 3: vocabulary file must begin with"):
+            Vocabulary.load(path)
+
+    # every token save accepts: non-empty, no line feed or carriage return, encodable
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                            min_size=1), unique=True, max_size=12))
+    @example(["\x85", "a\u2028b", "\x1c", "\x0b\x0c", " ", "_<pad>"])
+    def test_save_load_keeps_token_list(self, tmp_path_factory, tokens):
+        v = Vocabulary(list(corpus.RESERVED_TOKENS) + [t for t in tokens if t not in corpus.RESERVED_TOKENS])
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        v.save(path)
+        loaded = Vocabulary.load(path)
+        assert loaded.id_to_token == v.id_to_token
+        assert loaded.fingerprint() == v.fingerprint()
+
+    @pytest.mark.parametrize("token", ["", "a\nb", "a\rb"])
+    def test_save_refuses_token_that_cannot_round_trip(self, tmp_path, token):
+        path = tmp_path / "vocab.txt"
+        with pytest.raises(ValueError, match="empty or holds a line break"):
+            Vocabulary(list(corpus.RESERVED_TOKENS) + [token]).save(path)
+        assert not path.exists()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -169,6 +202,18 @@ class TestLoadJsonl:
         good = json.dumps({"review": "r", "query": "q", "tip": "t"}).encode("utf-8")
         p.write_bytes(good + b"\n" + good.replace(b'"r"', b'"\xff"') + b"\n")
         with pytest.raises(DatasetError, match="line 2: invalid UTF-8"):
+            load_jsonl(p)
+
+    def test_errors_name_path_and_line(self, tmp_path):
+        p = self.write(tmp_path, [json.dumps({"review": "r", "query": "q", "tip": "t"}), "[1]"])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(p))} line 2: record is not a JSON object$"):
+            load_jsonl(p)
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"review": ' + "1" * 5000 + "}"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_json_past_parser_limits_is_located(self, tmp_path, line):
+        p = self.write(tmp_path, [json.dumps({"review": "r", "query": "q", "tip": "t"}), line])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(p))} line 2: invalid JSON: "):
             load_jsonl(p)
 
     def test_empty_review_rejected(self, tmp_path):

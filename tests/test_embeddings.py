@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,8 +62,27 @@ def test_bad_float_names_line(tmp_path):
 def test_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_bytes(b"a 1 2\n\xffb 3 4\n")
-    with pytest.raises(ValueError, match=r"^line 2: invalid UTF-8$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 2: invalid UTF-8 at character 1$"):
         load_embeddings(str(path))
+
+
+@pytest.mark.parametrize("body, line, value", [("food nan 1\ngood 1 2\n", 1, "nan"),
+                                              ("food 1 2\ngood 1 inf\n", 2, "inf"),
+                                              ("food 1 2\ngood 1e999 2\n", 2, "1e999")],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_component_names_line(tmp_path, body, line, value):
+    path = write(tmp_path, body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} line {line}: non-finite component {value}$"):
+        load_embeddings(path)
+
+
+def test_header_count_must_match_vectors(tmp_path):
+    path = write(tmp_path, "5 2\na 1 2\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} line 1: header declares 5 vectors but the file holds 1$"):
+        load_embeddings(path)
+    with pytest.warns(UserWarning, match="duplicate token 'a'"):  # duplicates count toward the header
+        table = load_embeddings(write(tmp_path, "2 2\na 1 2\na 3 4\n", "dup.txt"))
+    assert len(table) == 1
 
 
 def test_empty_file_rejected(tmp_path):

@@ -1,7 +1,7 @@
 import json
 
 from qatip.baselines import split_sentences
-from qatip.corpus import load_jsonl, tokenize
+from qatip.corpus import load_jsonl, tokenize, write_jsonl
 from qatip.synthetic import (
     QS_REVIEW,
     corpus_tokens,
@@ -9,7 +9,6 @@ from qatip.synthetic import (
     pipeline_corpus,
     query_sensitivity_corpus,
     toy_embedding_file,
-    write_jsonl,
 )
 
 
