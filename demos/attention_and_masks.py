@@ -3,7 +3,6 @@
 import numpy as np
 
 from qatip.attention import (
-    MultiHeadConfig,
     causal_mask,
     init_multi_head,
     length_mask,
@@ -34,7 +33,7 @@ print("upper triangle zero under causal mask:",
 
 # multi-head wrapper: packed projections, per-head attention, merge
 store = ParamStore(np.random.default_rng(7), dtype=np.float64)
-params = init_multi_head(store, "demo", MultiHeadConfig(model_dim=8, num_heads=2))
+params = init_multi_head(store, "demo", 8, 2)
 fused, per_head = multi_head(params, q, k, v, mask=mask)
 print("multi-head output shape:", fused.shape)
 print("per-head weight tensor:", per_head.shape)

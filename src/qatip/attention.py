@@ -82,20 +82,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
 
 
 @dataclass
-class MultiHeadConfig:
-    model_dim: int = 512
-    num_heads: int = 8
-
-    def __post_init__(self):
-        if self.model_dim % self.num_heads != 0:
-            raise ValueError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-
-@dataclass
 class MultiHeadParams:
     """Packed projections; columns [i*head_dim:(i+1)*head_dim] belong to head i."""
 
@@ -106,14 +92,14 @@ class MultiHeadParams:
     num_heads: int
 
 
-def init_multi_head(store: ParamStore, prefix: str, cfg: MultiHeadConfig) -> MultiHeadParams:
-    d = cfg.model_dim
+def init_multi_head(store: ParamStore, prefix: str, d: int, num_heads: int) -> MultiHeadParams:
+    """Projections for ``num_heads`` heads over width ``d``; the caller checks that the heads divide ``d``."""
     return MultiHeadParams(
         wq=store.glorot(f"{prefix}.wq", (d, d)),
         wk=store.glorot(f"{prefix}.wk", (d, d)),
         wv=store.glorot(f"{prefix}.wv", (d, d)),
         wo=store.glorot(f"{prefix}.wo", (d, d)),
-        num_heads=cfg.num_heads,
+        num_heads=num_heads,
     )
 
 

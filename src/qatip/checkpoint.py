@@ -39,10 +39,9 @@ def _canonical_json(obj) -> bytes:
 def model_from_config(config: Mapping):
     """Instantiate an untrained model from a checkpoint config snapshot.
 
-    Each field must hold a JSON value of its declared type (integers are
-    sizes, >= 1; the float is finite) and pass the family config's own
-    checks, and a retired key its one value; anything else raises
-    ``CheckpointError`` naming the field.
+    Each field must hold a JSON value of its declared type and pass the
+    family config's checks, and a retired key its one value; anything else
+    raises ``CheckpointError`` naming the field.
     """
     if not isinstance(config, Mapping):
         raise CheckpointError(f"config is not a JSON object, got {config!r}")
@@ -59,9 +58,6 @@ def model_from_config(config: Mapping):
         lacking = json_type_mismatch(f.type, value)
         if lacking:
             raise CheckpointError(f"config field {f.name} must be {lacking}, got {value!r}")
-        # every integer field is a size, and the float (dropout) must be finite
-        if (f.type == "int" and value < 1) or (f.type == "float" and not math.isfinite(value)):
-            raise CheckpointError(f"config field {f.name} has invalid value {value!r}")
         kwargs[f.name] = value
     try:
         model_config = cls.Config(**kwargs)
@@ -125,7 +121,7 @@ def _parse_header(blob: bytes) -> tuple[dict, bytes]:
         )
     try:
         header = json.loads(blob[_PREAMBLE.size : end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
         raise CheckpointError(f"header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")

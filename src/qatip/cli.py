@@ -15,7 +15,7 @@ import sys
 import time
 
 from .config import (
-    ARCHES, TOKENIZE_MODES, VARIANTS, RunConfig, load_run_config, model_config_from_run,
+    ARCHES, TOKENIZE_MODES, VARIANTS, ConfigError, RunConfig, load_run_config, model_config_from_run,
     run_config_from_dict,
 )
 
@@ -92,6 +92,10 @@ def cmd_train(args) -> int:
     if not config.vocab:
         raise CliError("a vocabulary path is required (config key vocab or --vocab)")
     vocab = Vocabulary.load(config.vocab)
+    try:  # the model's own rule (say, heads dividing the width), before the dataset is read
+        model_config = model_config_from_run(config, vocab.size)
+    except ValueError as exc:
+        raise ConfigError(f"invalid model settings: {exc}") from None
     records = load_jsonl(config.data)
     triplets = encode_records(
         records,
@@ -106,7 +110,7 @@ def cmd_train(args) -> int:
         train_set, valid_set = split.train, split.valid
     else:
         train_set = valid_set = triplets
-    model = FAMILIES[config.arch](model_config_from_run(config, vocab.size), seed=config.seed)
+    model = FAMILIES[config.arch](model_config, seed=config.seed)
     result = train_model(
         model,
         train_set,
@@ -245,14 +249,7 @@ def cmd_baseline(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import format_report, run_gradient_suite
 
-    results = run_gradient_suite(
-        repeats=args.repeats,
-        seed=args.seed,
-        include_models=not args.skip_models,
-        op_tol=args.tol,
-        model_tol=args.model_tol,
-        h=args.eps,
-    )
+    results = run_gradient_suite(repeats=args.repeats, include_models=not args.skip_models)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -318,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op and model")
-    p.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--tol", type=float, default=1e-4, help="per-op tolerance")
-    p.add_argument("--model-tol", type=float, default=1e-3)
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--skip-models", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -150,6 +150,19 @@ def load_run_config(path: str, check_paths: bool = True) -> RunConfig:
     return run_config_from_dict(doc, check_paths)
 
 
+def check_model_config(cfg) -> None:
+    """The value rule of every model setting, for a family config dataclass: an ``int``
+    field is a size (>= 1), a ``float`` field (dropout) a rate in [0, 1) and ``variant``
+    one of ``VARIANTS``.  A value outside raises ``ValueError`` naming the field."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "str":
+            if value not in VARIANTS:
+                raise ValueError(f"unknown {f.name} {value!r}, expected one of {VARIANTS}")
+        elif not (value >= 1 if f.type == "int" else 0.0 <= value < 1.0):
+            raise ValueError(f"{f.name} has invalid value {value!r}")
+
+
 def model_config_from_run(config: RunConfig, vocab_size: int):
     """Model hyperparameters for the configured architecture."""
     from .models import FAMILIES

@@ -229,10 +229,14 @@ def read_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
             yield lineno, line.rstrip("\n")
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a JSON-lines file.
 
-    A line that is not a JSON object raises ``error`` as ``<path> line <n>: <what>``.
+    A line that is not a JSON object, or whose strings hold a lone surrogate
+    (a ``\\ud800`` escape without its pair), raises ``error`` as ``<path> line <n>: <what>``.
     """
     for lineno, line in read_lines(path, error):
         if not line.strip():
@@ -245,6 +249,12 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
             raise error(f"{path} line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(rec, dict):
             raise error(f"{path} line {lineno}: record is not a JSON object")
+        if _SURROGATE_ESCAPE.search(line):  # only an escape can spell a lone surrogate
+            try:
+                json.dumps(rec, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                code = ord(exc.object[exc.start])
+                raise error(f"{path} line {lineno}: string holds a lone surrogate U+{code:04X}") from None
         yield lineno, rec
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import length_mask, nonempty
-from .config import VARIANTS
+from .config import check_model_config
 from .seq2seq import Seq2Seq
 from .tensor import ParamStore, Tensor
 
@@ -41,10 +41,7 @@ class RnnConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        check_model_config(self)
 
     @classmethod
     def from_run(cls, run, vocab_size: int) -> "RnnConfig":

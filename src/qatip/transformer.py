@@ -23,7 +23,6 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (
-    MultiHeadConfig,
     attend,
     causal_mask,
     init_multi_head,
@@ -33,7 +32,7 @@ from .attention import (
     project_kv,
     sinusoidal_positions,
 )
-from .config import VARIANTS
+from .config import check_model_config
 from .seq2seq import Seq2Seq
 from .tensor import ParamStore, Tensor
 
@@ -52,13 +51,11 @@ class TransformerConfig:
     def __post_init__(self):
         if self.ffn_dim == 0:
             self.ffn_dim = 4 * self.model_dim
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+        check_model_config(self)
         if self.ffn_dim < self.model_dim:
             raise ValueError("ffn_dim must be >= model_dim")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        MultiHeadConfig(self.model_dim, self.num_heads)  # divisibility check
+        if self.model_dim % self.num_heads:
+            raise ValueError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
 
     @classmethod
     def from_run(cls, run, vocab_size: int) -> "TransformerConfig":
@@ -83,7 +80,7 @@ class _Block:
 
     def __init__(self, store: ParamStore, prefix: str, cfg: "TransformerConfig"):
         d, f = cfg.model_dim, cfg.ffn_dim
-        self.mh = init_multi_head(store, f"{prefix}.attn", MultiHeadConfig(d, cfg.num_heads))
+        self.mh = init_multi_head(store, f"{prefix}.attn", d, cfg.num_heads)
         self.ln1_g = store.ones(f"{prefix}.ln1.gain", (d,))
         self.ln1_b = store.zeros(f"{prefix}.ln1.bias", (d,))
         self.w1 = store.glorot(f"{prefix}.ffn.w1", (d, f))
@@ -98,7 +95,7 @@ class _DecoderLayer(_Block):
     def __init__(self, store: ParamStore, prefix: str, cfg: "TransformerConfig"):
         super().__init__(store, prefix, cfg)
         d = cfg.model_dim
-        self.cross = init_multi_head(store, f"{prefix}.cross", MultiHeadConfig(d, cfg.num_heads))
+        self.cross = init_multi_head(store, f"{prefix}.cross", d, cfg.num_heads)
         self.ln3_g = store.ones(f"{prefix}.ln3.gain", (d,))
         self.ln3_b = store.zeros(f"{prefix}.ln3.bias", (d,))
 

@@ -5,7 +5,6 @@ import pytest
 
 from qatip import tensor as T
 from qatip.attention import (
-    MultiHeadConfig,
     causal_mask,
     init_multi_head,
     length_mask,
@@ -94,9 +93,8 @@ def _reference_multi_head(x_q, x_k, x_v, wq, wk, wv, wo, h, mask=None):
 
 def test_multi_head_matches_per_head_reference():
     rng = np.random.default_rng(3)
-    cfg = MultiHeadConfig(model_dim=4, num_heads=2)
     store = ParamStore(rng, dtype=np.float64)
-    params = init_multi_head(store, "mh", cfg)
+    params = init_multi_head(store, "mh", 4, 2)
     x_q = rng.standard_normal((3, 4))
     x_kv = rng.standard_normal((5, 4))
     mask = np.ones((3, 5), dtype=bool)
@@ -113,9 +111,8 @@ def test_multi_head_matches_per_head_reference():
 
 def test_single_head_equals_scaled_dot_composition():
     rng = np.random.default_rng(4)
-    cfg = MultiHeadConfig(model_dim=6, num_heads=1)
     store = ParamStore(rng, dtype=np.float64)
-    params = init_multi_head(store, "mh", cfg)
+    params = init_multi_head(store, "mh", 6, 1)
     x = Tensor(rng.standard_normal((1, 4, 6)), dtype=np.float64)
 
     out, _ = multi_head(params, x, x, x)
@@ -128,8 +125,7 @@ def test_key_permutation_equivariance():
     # attention is a weighted bag over keys: permuting key/value rows together
     # (mask included) leaves the output unchanged
     rng = np.random.default_rng(5)
-    cfg = MultiHeadConfig(model_dim=8, num_heads=2)
-    params = init_multi_head(ParamStore(rng, dtype=np.float64), "mh", cfg)
+    params = init_multi_head(ParamStore(rng, dtype=np.float64), "mh", 8, 2)
     x_q = Tensor(rng.standard_normal((1, 3, 8)), dtype=np.float64)
     kv = rng.standard_normal((1, 6, 8))
     mask = rng.random((1, 3, 6)) > 0.2
@@ -148,8 +144,7 @@ def test_causal_mask_blocks_future():
     assert m[0, 0] and not m[0, 1]
     assert m[3].all()
     rng = np.random.default_rng(6)
-    cfg = MultiHeadConfig(model_dim=4, num_heads=2)
-    params = init_multi_head(ParamStore(rng, dtype=np.float64), "mh", cfg)
+    params = init_multi_head(ParamStore(rng, dtype=np.float64), "mh", 4, 2)
     x = rng.standard_normal((1, 4, 4))
     out1, _ = multi_head(params, Tensor(x, dtype=np.float64), Tensor(x, dtype=np.float64),
                          Tensor(x, dtype=np.float64), mask=m[None])
@@ -165,11 +160,6 @@ def test_length_mask_values():
     assert m.tolist() == [[True, True, True, False], [True, False, False, False]]
 
 
-def test_model_dim_must_divide_heads():
-    with pytest.raises(ValueError, match="divisible"):
-        MultiHeadConfig(model_dim=10, num_heads=4)
-
-
 def test_sinusoidal_encoding_structure():
     pe = sinusoidal_positions(50, 8)
     assert pe.shape == (50, 8)
@@ -183,9 +173,8 @@ def test_sinusoidal_encoding_structure():
 
 def test_attention_gradients_flow():
     rng = np.random.default_rng(7)
-    cfg = MultiHeadConfig(model_dim=4, num_heads=2)
     store = ParamStore(rng, dtype=np.float64)
-    params = init_multi_head(store, "mh", cfg)
+    params = init_multi_head(store, "mh", 4, 2)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True, dtype=np.float64)
     out, _ = multi_head(params, x, x, x)
     backward(T.mean_all(out))

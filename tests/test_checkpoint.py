@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -156,6 +158,17 @@ def test_header_json_corruption(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header, match", [
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"config":' + b"9" * 5000 + b',"manifest":[]}', r"Exceeds the limit \(4300 digits\)"),
+], ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+def test_header_the_json_parser_refuses_is_a_checkpoint_error(tmp_path, header, match):
+    path = save_path(tmp_path)
+    open(path, "wb").write(struct.pack("<4sIQ", b"QTIP", 1, len(header)) + header)
+    with pytest.raises(CheckpointError, match=f"^header is not valid JSON: {match}"):
+        load_checkpoint(path)
+
+
 def rewritten_header(tmp_path, model, edit):
     """Save ``model``, apply ``edit`` to the parsed header, and write the file back around the same payload."""
     path = save_path(tmp_path)
@@ -248,6 +261,31 @@ def test_ill_typed_config_field_is_located(tmp_path, make, field, value, match):
     path = save_path(tmp_path)
     save_checkpoint(model, config, path)  # the header holds the field as written
     with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+# for each field of both family configs, values outside the one value rule of ``check_model_config``
+OUT_OF_RULE = {"int": (0, -1), "float": (-0.1, 1.0, float("nan")), "str": ("9oth",)}
+MODEL_SETTING_CASES = [
+    pytest.param(make, f.name, value, id=f"{make.__name__}-{f.name}={value}")
+    for make, cls in ((tiny_rnn, RnnConfig), (tiny_transformer, TransformerConfig))
+    for f in dataclasses.fields(cls)
+    for value in OUT_OF_RULE[f.type]
+    if (f.name, value) != ("ffn_dim", 0)  # 0 selects 4 * model_dim
+]
+
+
+@pytest.mark.parametrize("make, field, value", MODEL_SETTING_CASES)
+def test_model_setting_outside_the_rule_is_refused_built_or_loaded(tmp_path, make, field, value):
+    model = make()
+    config = {**model.config_dict(), field: value}
+    with pytest.raises(ValueError) as built:
+        type(model.config)(**{k: v for k, v in config.items() if k != "family"})
+    message = str(built.value)
+    assert field in re.findall(r"\w+", message)
+    path = save_path(tmp_path)
+    save_checkpoint(model, config, path)
+    with pytest.raises(CheckpointError, match=f"^config is invalid: {re.escape(message)}$"):
         load_checkpoint(path)
 
 

@@ -339,6 +339,31 @@ def test_evaluate_locates_invalid_utf8_in_hyp(workdir, capsys, tmp_path):
     assert err["message"] == f"{hyp} line 2: invalid UTF-8 at character 26"
 
 
+def test_train_refuses_bad_model_settings_before_reading_the_data(workdir, capsys, tmp_path):
+    data = tmp_path / "bad.jsonl"
+    data.write_text('{"review": "r"}\n', encoding="utf-8")  # a DatasetError, were the records read first
+    config = {**json.loads(Path(workdir["config"]).read_text(encoding="utf-8")), **TINY_TRANSFORMER,
+              "num_heads": 3, "data": str(data)}
+    path = tmp_path / "heads.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == "invalid model settings: model_dim 8 not divisible by num_heads 3"
+    assert not (tmp_path / "run").exists()
+
+
+def test_build_vocab_refuses_a_lone_surrogate_and_writes_nothing(capsys, tmp_path):
+    data, out = tmp_path / "data.jsonl", tmp_path / "vocab.txt"
+    data.write_text('{"review": "\\ud83d\\ude00 cake", "query": "cake", "tip": "good cake"}\n'
+                    '{"review": "\\ud800 cake", "query": "cake", "tip": "good cake"}\n', encoding="utf-8")
+    assert main(["build-vocab", "--data", str(data), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DatasetError"
+    assert err["message"] == f"{data} line 2: string holds a lone surrogate U+D800"
+    assert not out.exists()
+
+
 def test_train_config_with_invalid_utf8_is_config_error(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"epochs": 1, "arch": "rnn\xff"}')
@@ -410,8 +435,11 @@ def test_gradcheck_reports_every_op(capsys):
     assert "max_rel_err" in out
 
 
-def test_gradcheck_impossible_tolerance_fails(capsys):
-    rc = main(["gradcheck", "--repeats", "1", "--skip-models", "--tol", "1e-18"])
+def test_gradcheck_impossible_tolerance_fails(capsys, monkeypatch):
+    from qatip import gradcheck
+
+    monkeypatch.setattr(gradcheck, "OP_TOL", 1e-18)
+    rc = main(["gradcheck", "--repeats", "1", "--skip-models"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -114,3 +114,21 @@ def test_every_truncation_and_line_edit_loads_or_is_located(valid, target):
 def test_mutant_loads_or_is_located(valid, target, data):
     blob, path = valid[target]
     load_mutant(target, path, data.draw(mutants(blob), label="mutant"))
+
+
+@pytest.mark.parametrize("escape, lone", [(r"\ud800", "D800"), (r"\udfff", "DFFF"), (r"\ude00\ud83d", "DE00"),
+                                          (r"\ud83d\ude00", None)])
+@pytest.mark.parametrize("target", ["dataset", "generated"])
+def test_lone_surrogate_escape_is_located(valid, target, escape, lone):
+    """A JSON escape of half a surrogate pair is no text: the loader's own error names its line."""
+    blob, path = valid[target]
+    lines = blob.splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"tip": "', b'"tip": "' + escape.encode(), 1)
+    _, load, error, _ = TARGETS[target]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    if lone is None:  # a whole pair is one character
+        load(path)
+        return
+    with pytest.raises(error, match=f"^{re.escape(path)} line 2: string holds a lone surrogate U\\+{lone}$"):
+        load(path)

@@ -19,6 +19,11 @@ def tiny_config(variant="both", **kw):
     return TransformerConfig(**defaults)
 
 
+def test_model_dim_must_divide_heads():
+    with pytest.raises(ValueError, match="^model_dim 10 not divisible by num_heads 4$"):
+        tiny_config(model_dim=10, num_heads=4)
+
+
 def make_test_batch(seed=0, vocab=13):
     rng = np.random.default_rng(seed)
 
