@@ -71,10 +71,17 @@ def save_checkpoint(model, config: Mapping, path: str) -> None:
 
     ``config`` must contain the model-architecture fields ``load_checkpoint``
     needs to rebuild the model (``model.config_dict()`` provides them).  The
-    bytes go to a temporary file beside ``path`` that then replaces it, so a
-    failed save leaves any earlier file at ``path`` whole.
+    format stores float32 only, so a model with a parameter of another dtype
+    is refused with a ``CheckpointError`` naming ``path`` and the first such
+    parameter, before anything is written.  The bytes go to a temporary file
+    beside ``path`` that then replaces it, so a failed save leaves any
+    earlier file at ``path`` whole.
     """
     params = sorted(model.params.parameters(), key=lambda p: p.name)
+    for p in params:
+        if p.tensor.data.dtype != np.float32:
+            raise CheckpointError(f"{path}: checkpoints store float32, but parameter {p.name} "
+                                  f"is {p.tensor.data.dtype.name}")
     manifest = []
     chunks = []
     offset = 0

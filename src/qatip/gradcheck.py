@@ -294,6 +294,25 @@ def _check_lstm_scan(rng):
     return worst
 
 
+def _check_decoder_scan(rng):
+    b, m, n, e, k, d, a, vocab, q = 3, 3, 4, 2, 3, 2, 3, 5, 2
+    lengths = np.array([n, 1, rng.integers(1, n + 1)])  # a full row, a 1-token review, one at random
+    mask = np.arange(n)[None, :] < lengths[:, None]
+    inputs = {name: _randn(rng, shape) for name, shape in (
+        ("x", (b, m, e)), ("h_tilde", (b, n, k)), ("s0", (b, d)), ("w_c", (a, k + d)), ("b_c", (a,)),
+        ("v", (a, 1)), ("w_x", (e + k, 4 * d)), ("w_h", (d, 4 * d)), ("b", (4 * d,)), ("w_v", (vocab, d)))}
+    query = {"h_q": _randn(rng, (b, q)), "w_q": _randn(rng, (a, q))}
+    probe = rng.standard_normal((b, m, vocab))
+    worst = 0.0
+    for extra in ({}, query):  # without and with the query term
+        def loss():
+            out = T.decoder_scan(mask=mask, **inputs, **extra)
+            return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
+
+        worst = max(worst, check_grads({**inputs, **extra}, loss))
+    return worst
+
+
 OP_CHECKS = {
     "matmul": _check_matmul,
     "transpose": _check_transpose,
@@ -314,6 +333,7 @@ OP_CHECKS = {
     "dropout": _check_dropout,
     "linear": _check_linear,
     "lstm_scan": _check_lstm_scan,
+    "decoder_scan": _check_decoder_scan,
 }
 
 

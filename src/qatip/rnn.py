@@ -15,8 +15,10 @@ Variants:
 
 Decoder: unidirectional LSTM (hidden 2d) over [prev embedding; context],
 attention recomputed each step from the previous state; logits are
-W_v . state.  Beam search computes the review half of the attention once
-per record (``prepare_batch``) and adds only the state's term each step.
+W_v . state.  Under teacher forcing (training, scoring) every step is one
+``T.decoder_scan`` tape node.  Beam search computes the review half of the
+attention once per record (``prepare_batch``) and adds only the state's
+term each step, through ``attend_review`` and ``LstmCell.step``.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class RnnConfig:
 class LstmCell:
     """Packed-gate LSTM cell; gate order i, f, g, o with forget bias +1.
 
-    ``step`` runs the decoder; the encoder runs each direction's weights
-    through one ``T.lstm_scan``, which repeats ``step``'s arithmetic.
+    ``step`` runs a beam-search decoder step; the encoder runs each
+    direction's weights through one ``T.lstm_scan`` and the teacher-forced
+    decoder its weights through one ``T.decoder_scan``, both of which repeat
+    ``step``'s arithmetic.
     """
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int):
@@ -111,23 +115,6 @@ def selective_gate(h_seq: Tensor, h_r: Tensor, h_q: Tensor,
     return T.mul(gate, h_seq), gate
 
 
-def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
-                 w_c: Tensor, w_q_attn: Tensor | None, b_c: Tensor, v: Tensor,
-                 mask: np.ndarray):
-    """Additive attention over review states, optionally query-conditioned.
-
-    c_i = W_c [H~_i; s_t] (+ W_q h_q) + b_c; a = softmax(v^T tanh(c));
-    returns (context (B, 2d), weights (B, N)).
-    """
-    b, n, width = h_tilde.shape
-    d_a = v.shape[0]
-    state_rows = T.broadcast_to(T.reshape(state, (b, 1, width)), (b, n, width))
-    c = T.add(T.matmul(T.concat([h_tilde, state_rows]), T.transpose(w_c)), b_c)
-    if h_q is not None:
-        c = T.add(c, T.reshape(T.matmul(h_q, T.transpose(w_q_attn)), (b, 1, d_a)))
-    return attend_review(h_tilde, c, v, mask)
-
-
 def attend_review(h_tilde: Tensor, c: Tensor, v: Tensor, mask: np.ndarray):
     """a = softmax(v^T tanh(c)) over the review positions of pre-activations c (B, N, d_a)."""
     b, n, width = h_tilde.shape
@@ -178,7 +165,7 @@ class QaRnnModel(Seq2Seq):
         return self._dropout(T.embedding_lookup(self.emb, np.asarray(ids, dtype=np.int64)), train)
 
     def encode(self, review_ids, review_lengths, query_ids, query_lengths, train: bool = False) -> dict:
-        """Decoding context: H~ (B,N,2d), its mask, h_q or None, decoder start s0, c0."""
+        """Decoding context: H~ (B,N,2d), its mask, h_q or None, decoder start state s0."""
         review_lengths = np.asarray(review_lengths, dtype=np.int64)
         h_seq, h_r = bilstm_encode(self.review_fwd, self.review_bwd,
                                    self._embed(review_ids, train), review_lengths)
@@ -192,35 +179,18 @@ class QaRnnModel(Seq2Seq):
         else:
             h_tilde = h_seq
 
-        b, n, width = h_tilde.shape
+        n = h_tilde.shape[1]
         # decoder start: affine+tanh of the gated summary [fwd_last; bwd_first]
         s0 = T.tanh(T.add(T.matmul(_summary(h_tilde, review_lengths), self.w_init), self.b_init))
-        c0 = Tensor(np.zeros((b, width), dtype=self.dtype))
-        return {"h_tilde": h_tilde, "mask": length_mask(review_lengths, n), "h_q": h_q, "s0": s0, "c0": c0}
+        return {"h_tilde": h_tilde, "mask": length_mask(review_lengths, n), "h_q": h_q, "s0": s0}
 
     # ----- decoder side
 
-    def _decoder_step(self, emb_t: Tensor, context: Tensor, s: Tensor, c: Tensor):
-        """Feed one embedded token (B, e) and its attention context; returns (logits (B, V), s, c)."""
-        s, c = self.decoder.step(T.concat([emb_t, context]), s, c)
-        return T.matmul(s, T.transpose(self.w_v)), s, c
-
     def decode_logits(self, ctx: dict, tip_input, train: bool = False) -> Tensor:
-        emb = self._embed(tip_input, train)
-        b, m, e = emb.shape
-        h_tilde, mask = ctx["h_tilde"], ctx["mask"]
-        h_q = ctx["h_q"] if self._use_query_attn else None
-        w_q = self.w_q_attn if self._use_query_attn else None
-        s, c = ctx["s0"], ctx["c0"]
-        rows = []
-        for t in range(m):
-            # a reshape per step, not one shared node: a shared node would sum v's gradient in
-            # another order and move the float32 training trajectory
-            v = T.reshape(self.v, (self.v.shape[0],))
-            context, _ = qa_attention(h_tilde, s, h_q, self.w_c, w_q, self.b_c, v, mask)
-            logits_t, s, c = self._decoder_step(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e)), context, s, c)
-            rows.append(T.reshape(logits_t, (b, 1, self.config.vocab_size)))
-        return T.concat(rows, axis=1)
+        q = self._use_query_attn
+        return T.decoder_scan(self._embed(tip_input, train), ctx["h_tilde"], ctx["mask"], ctx["s0"],
+                              self.w_c, self.b_c, self.v, self.decoder.w_x, self.decoder.w_h, self.decoder.b,
+                              self.w_v, h_q=ctx["h_q"] if q else None, w_q=self.w_q_attn if q else None)
 
     # ----- decoding protocol
 
@@ -237,8 +207,8 @@ class QaRnnModel(Seq2Seq):
         return {**ctx, "review_term": term}
 
     def _start(self, ctx: dict) -> list:
-        """Decoder state before the first token: the start state [s0, c0]."""
-        return [ctx["s0"], ctx["c0"]]
+        """Decoder state before the first token: the start state s0 and a zero cell."""
+        return [ctx["s0"], Tensor(np.zeros_like(ctx["s0"].data))]
 
     def _step(self, ctx: dict, records: np.ndarray, rows: list, tokens: np.ndarray):
         """Attention adds only the state's term s W_c[:, 2d:]^T to each record's ``review_term``."""
@@ -249,5 +219,5 @@ class QaRnnModel(Seq2Seq):
         context, _ = attend_review(Tensor(ctx["h_tilde"].data[records]), pre,
                                    T.reshape(self.v, (self.v.shape[0],)), ctx["mask"][records])
         emb_t = T.reshape(self._embed(tokens, False), (r, self.config.emb_dim))
-        logits, s, c = self._decoder_step(emb_t, context, s, c)
-        return logits, [s, c]
+        s, c = self.decoder.step(T.concat([emb_t, context]), s, c)
+        return T.matmul(s, T.transpose(self.w_v)), [s, c]

@@ -389,25 +389,35 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     d = a.data
     if d.shape[-1] < 1:
         raise ValueError("softmax needs at least one column")
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), d.shape)
-        if (~m).all(axis=-1).any():
-            raise ValueError("softmax row is fully masked")
-        scores = np.where(m, d, np.array(-1e9, dtype=d.dtype))
-    else:
-        m = None
-        scores = d
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=-1, keepdims=True)
-    if m is not None:
-        out_data = out_data * m
+    m = None if mask is None else _keep_rows(mask, d.shape)
+    out_data = _softmax(d, m)
 
     def bwd(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - inner),)
+        return (_softmax_grad(out_data, g),)
 
     return _result(out_data, (a,), bwd)
+
+
+def _keep_rows(mask, shape) -> np.ndarray:
+    """``mask`` as a boolean keep mask of ``shape``; a row with nothing kept is an error."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), shape)
+    if (~m).all(axis=-1).any():
+        raise ValueError("softmax row is fully masked")
+    return m
+
+
+def _softmax(d: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """Stable softmax over the last axis; where the keep mask ``m`` is False the score is -1e9 and the output 0."""
+    scores = d if m is None else np.where(m, d, np.array(-1e9, dtype=d.dtype))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    out = ex / ex.sum(axis=-1, keepdims=True)
+    return out if m is None else out * m
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - inner)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -614,6 +624,37 @@ def _accumulate(total, step):
     return step if total is None else np.add(total, step, out=total)
 
 
+def _lstm_cell(pre: np.ndarray, c: np.ndarray):
+    """One packed-gate cell step from pre-activations (B, 4d) and cell state c: (act, c_new, tanh(c_new)).
+
+    ``act`` holds sigmoid(i), sigmoid(f), tanh(g) and sigmoid(o); the new hidden state is
+    ``act[:, 3d:] * tanh(c_new)``.
+    """
+    d = c.shape[-1]
+    act = _sigmoid(pre)  # i, f and o; the g slice is replaced by its tanh
+    act[:, 2 * d : 3 * d] = np.tanh(pre[:, 2 * d : 3 * d])
+    c_new = act[:, d : 2 * d] * c + act[:, :d] * act[:, 2 * d : 3 * d]
+    return act, c_new, np.tanh(c_new)
+
+
+def _lstm_cell_grad(dh: np.ndarray, dc, act: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
+    """(d pre-activation, d c_new) of one ``_lstm_cell`` step, from dh of its new hidden state and the
+    gradient ``dc`` (or None) that reaches c_new from later; the caller forms d c_prev = d c_new * f."""
+    d = c_prev.shape[-1]
+    i, g, o = act[:, :d], act[:, 2 * d : 3 * d], act[:, 3 * d :]
+    dc_new = (dh * o) * (1.0 - tanh_c * tanh_c)
+    if dc is not None:
+        dc_new = dc + dc_new
+    d_act = np.empty_like(act)
+    d_act[:, :d] = dc_new * g
+    d_act[:, d : 2 * d] = dc_new * c_prev
+    d_act[:, 2 * d : 3 * d] = dc_new * i
+    d_act[:, 3 * d :] = dh * tanh_c
+    d_pre = (d_act * act) * (1.0 - act)
+    d_pre[:, 2 * d : 3 * d] = d_act[:, 2 * d : 3 * d] * (1.0 - g * g)
+    return d_pre, dc_new
+
+
 def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: bool = False) -> Tensor:
     """One masked LSTM direction over x (B, N, e): the hidden states (B, N, d) as one tape node.
 
@@ -650,15 +691,10 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
     for t in range(n - 1, -1, -1) if reverse else range(n):
         x_t = xs[:, t : t + 1, :].reshape(bsz, e)
         m_t = mask[:, t : t + 1].astype(dtype)
-        pre = (x_t @ wx + h @ wh) + bias
-        act = _sigmoid(pre)  # i, f and o; the g slice is replaced by its tanh
-        act[:, 2 * d : 3 * d] = np.tanh(pre[:, 2 * d : 3 * d])
-        i, f, g, o = act[:, :d], act[:, d : 2 * d], act[:, 2 * d : 3 * d], act[:, 3 * d :]
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
+        act, c_new, tanh_c = _lstm_cell((x_t @ wx + h @ wh) + bias, c)
         if track:
             saved.append((t, x_t, m_t, h, c, act, tanh_c))
-        h = (o * tanh_c) * m_t  # PAD steps stay exactly zero
+        h = (act[:, 3 * d :] * tanh_c) * m_t  # PAD steps stay exactly zero
         c = c_new * m_t
         out_data[:, t, :] = h
 
@@ -668,18 +704,8 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
         dh = dc = None  # what reaches the masked h and c of a step from the step after it
         while saved:  # last step first, each step's arrays dropped once used
             t, x_t, m_t, h_prev, c_prev, act, tanh_c = saved.pop()
-            i, f, g, o = act[:, :d], act[:, d : 2 * d], act[:, 2 * d : 3 * d], act[:, 3 * d :]
             dh_new = (g_out[:, t, :] if dh is None else g_out[:, t, :] + dh) * m_t
-            dc_new = (dh_new * o) * (1.0 - tanh_c * tanh_c)
-            if dc is not None:
-                dc_new = dc * m_t + dc_new
-            d_act = np.empty_like(act)
-            d_act[:, :d] = dc_new * g
-            d_act[:, d : 2 * d] = dc_new * c_prev
-            d_act[:, 2 * d : 3 * d] = dc_new * i
-            d_act[:, 3 * d :] = dh_new * tanh_c
-            d_pre = (d_act * act) * (1.0 - act)
-            d_pre[:, 2 * d : 3 * d] = d_act[:, 2 * d : 3 * d] * (1.0 - g * g)
+            d_pre, dc_new = _lstm_cell_grad(dh_new, None if dc is None else dc * m_t, act, c_prev, tanh_c)
             if x_grad:
                 dx[:, t, :] = d_pre @ np.swapaxes(wx, -1, -2)
             if w_x_grad:
@@ -690,10 +716,131 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, mask, reverse: boo
                 db = _accumulate(db, d_pre.sum(axis=(0,)))
             if saved:  # the first step's zero start states take no gradient
                 dh = d_pre @ np.swapaxes(wh, -1, -2)
-                dc = dc_new * f
+                dc = dc_new * act[:, d : 2 * d]
         return dx, dw_x, dw_h, db
 
     return _result(out_data, (x, w_x, w_h, b), bwd)
+
+
+def _beside_rows(memory: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[memory; s] (B, N, k + d): the state s (B, d) beside each row of memory (B, N, k)."""
+    bsz, n, d = memory.shape[0], memory.shape[1], s.shape[-1]
+    return np.concatenate([memory, np.broadcast_to(s.reshape(bsz, 1, d), (bsz, n, d))], axis=-1)
+
+
+def decoder_scan(x: Tensor, h_tilde: Tensor, mask, s0: Tensor, w_c: Tensor, b_c: Tensor, v: Tensor,
+                 w_x: Tensor, w_h: Tensor, b: Tensor, w_v: Tensor,
+                 h_q: Tensor | None = None, w_q: Tensor | None = None) -> Tensor:
+    """A teacher-forced LSTM decoder with additive attention over x (B, M, e): the logits (B, M, V) as one tape node.
+
+    Step t attends over the memory h_tilde (B, N, k) from the previous state s (B, d), s0
+    at the first step: a = softmax(v^T tanh([h_tilde; s] W_c^T + b_c (+ W_q h_q))) over the
+    positions ``mask`` (B, N) marks real, with w_c (a, k + d), b_c (a,), v (a, 1) and, both
+    or neither, h_q (B, q) and w_q (a, q).  One LSTM step over [x_t; a h_tilde], gates
+    packed i, f, g, o in w_x (e + k, 4d), w_h (d, 4d) and b (4d,), from s and a cell that
+    starts at zero, gives the new s and the logits s W_v^T, w_v (V, d).
+
+    Each step makes the numpy calls the per-step ops make, on the same views, and the
+    backward sums every shared gradient in the order the tape's sweep sums the per-step
+    graph's, so the values and gradients are bitwise those of the unfused ops.  The node
+    keeps each step's state, tanh of the attention pre-activation, attention weights,
+    cell input and gate activations, and rebuilds [h_tilde; s] in the backward
+    rather than keeping it.
+    """
+    query = h_q is not None
+    if query != (w_q is not None):
+        raise ValueError("decoder_scan needs h_q and w_q together")
+    # the sweep enters the graph behind this node through its last parents first: s0 before the
+    # query and x, as the per-step graph reached them, so a table they share sums in the same order
+    parents = ((x, h_q, w_q) if query else (x,)) + (h_tilde, s0, w_c, b_c, v, w_x, w_h, b, w_v)
+    _check_same_dtype(*parents)
+    if x.data.ndim != 3 or h_tilde.data.ndim != 3 or w_h.data.ndim != 2 or w_c.data.ndim != 2 or w_v.data.ndim != 2:
+        raise ValueError(f"decoder_scan needs x (B, M, e), h_tilde (B, N, k) and 2-d w_h, w_c, w_v; got x "
+                         f"{x.data.shape}, h_tilde {h_tilde.data.shape}, w_h {w_h.data.shape}, "
+                         f"w_c {w_c.data.shape}, w_v {w_v.data.shape}")
+    bsz, m, e = x.data.shape
+    n, k = h_tilde.data.shape[1:]
+    d, a, vocab = w_h.data.shape[0], w_c.data.shape[0], w_v.data.shape[0]
+    want = {"h_tilde": (h_tilde, (bsz, n, k)), "s0": (s0, (bsz, d)), "w_c": (w_c, (a, k + d)), "b_c": (b_c, (a,)),
+            "v": (v, (a, 1)), "w_x": (w_x, (e + k, 4 * d)), "w_h": (w_h, (d, 4 * d)), "b": (b, (4 * d,))}
+    if query:
+        want.update(h_q=(h_q, (bsz, h_q.data.shape[-1])), w_q=(w_q, (a, h_q.data.shape[-1])))
+    for name, (t, shape) in want.items():
+        if t.data.shape != shape:
+            raise ValueError(f"decoder_scan needs {name} {shape} for x {x.data.shape}, h_tilde "
+                             f"{h_tilde.data.shape}, w_h {w_h.data.shape} and w_c {w_c.data.shape}, "
+                             f"got {t.data.shape}")
+    mask = np.asarray(mask)
+    if mask.shape != (bsz, n):
+        raise ValueError(f"decoder_scan needs mask (B, N) = {(bsz, n)}, got {mask.shape}")
+    keep = _keep_rows(mask[:, None, :], (bsz, 1, n))
+
+    xs, ht, wc, bc, vd, wx, wh, bias, wv = (t.data for t in (x, h_tilde, w_c, b_c, v, w_x, w_h, b, w_v))
+    dtype = xs.dtype
+    track = _grad_enabled and any(p.requires_grad for p in parents)
+    hq, wq = (h_q.data, w_q.data) if query else (None, None)
+    q_term = (hq @ np.swapaxes(wq, -2, -1)).reshape(bsz, 1, a) if query else None
+    s = s0.data
+    c = np.zeros((bsz, d), dtype=dtype)
+    out_data = np.empty((bsz, m, vocab), dtype=dtype)
+    states, saved = [s], []  # states s_0..s_M and, per step in forward order, what the backward reads
+    for t in range(m):
+        pre_c = _beside_rows(ht, s) @ np.swapaxes(wc, -2, -1) + bc
+        if query:
+            pre_c = pre_c + q_term
+        th = np.tanh(pre_c)
+        attn = _softmax(np.swapaxes(th @ vd, 1, 2), keep)  # (B, 1, N)
+        x_in = np.concatenate([xs[:, t : t + 1, :].reshape(bsz, e), (attn @ ht).reshape(bsz, k)], axis=-1)
+        act, c_new, tanh_c = _lstm_cell((x_in @ wx + s @ wh) + bias, c)
+        s, c_prev, c = act[:, 3 * d :] * tanh_c, c, c_new
+        out_data[:, t, :] = s @ np.swapaxes(wv, -2, -1)
+        if track:
+            states.append(s)
+            saved.append((c_prev, th, attn, x_in, act, tanh_c))
+
+    def bwd(g_out):
+        g_logits = [g_out[:, t : t + 1, :].reshape(bsz, vocab) for t in range(m)]
+        dx = np.zeros_like(xs)
+        dw_v = d_ht = dw_c = db_c = dv = dh_q = dw_q = dw_x = dw_h = db = None
+        for t in range(m):  # the sweep sums the output products' gradients first step first
+            dw_v = _accumulate(dw_v, np.swapaxes(np.swapaxes(states[t + 1], -1, -2) @ g_logits[t], -2, -1))
+        # every other shared gradient is summed last step first; within a step, h_tilde's from
+        # the context product before the attention rows', and a state's from the logits, then the
+        # next step's attention rows, then its cell
+        after = None  # what the state a step starts from takes from that step: (attention rows, cell)
+        dc = None
+        for t in range(m - 1, -1, -1):
+            c_prev, th, attn, x_in, act, tanh_c = saved.pop()
+            s_prev = states[t]
+            ds = g_logits[t] @ wv
+            if after is not None:
+                ds = (ds + after[0]) + after[1]
+            d_pre, dc_new = _lstm_cell_grad(ds, dc, act, c_prev, tanh_c)
+            dw_x = _accumulate(dw_x, np.swapaxes(x_in, -1, -2) @ d_pre)
+            dw_h = _accumulate(dw_h, np.swapaxes(s_prev, -1, -2) @ d_pre)
+            db = _accumulate(db, d_pre.sum(axis=(0,)))
+            g_x = d_pre @ np.swapaxes(wx, -1, -2)
+            dx[:, t, :] = g_x[:, :e]
+            g_ctx = g_x[:, e:].reshape(bsz, 1, k)
+            d_ht = _accumulate(d_ht, np.swapaxes(attn, -1, -2) @ g_ctx)
+            g_scores = np.swapaxes(_softmax_grad(attn, g_ctx @ np.swapaxes(ht, -1, -2)), 1, 2)
+            dv = _accumulate(dv, _unbroadcast(np.swapaxes(th, -1, -2) @ g_scores, (a, 1)))
+            g_pre = (g_scores @ np.swapaxes(vd, -1, -2)) * (1.0 - th * th)
+            db_c = _accumulate(db_c, _unbroadcast(g_pre, (a,)))
+            if query:
+                g_q = _unbroadcast(g_pre, (bsz, 1, a)).reshape(bsz, a)
+                dh_q = _accumulate(dh_q, g_q @ wq)
+                dw_q = _accumulate(dw_q, np.swapaxes(np.swapaxes(hq, -1, -2) @ g_q, -2, -1))
+            step_w_c = _unbroadcast(np.swapaxes(_beside_rows(ht, s_prev), -1, -2) @ g_pre, (k + d, a))
+            dw_c = _accumulate(dw_c, np.swapaxes(step_w_c, -2, -1))
+            g_rows = g_pre @ wc
+            d_ht = _accumulate(d_ht, g_rows[..., :k])
+            after = (_unbroadcast(g_rows[..., k:], (bsz, 1, d)).reshape(bsz, d), d_pre @ np.swapaxes(wh, -1, -2))
+            dc = dc_new * act[:, d : 2 * d]
+        ds0 = after[0] + after[1]
+        return ((dx, dh_q, dw_q) if query else (dx,)) + (d_ht, ds0, dw_c, db_c, dv, dw_x, dw_h, db, dw_v)
+
+    return _result(out_data, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

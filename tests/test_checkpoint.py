@@ -56,6 +56,22 @@ def test_round_trip_preserves_parameters(tmp_path):
         np.testing.assert_array_equal(want[name], got[name])
 
 
+def test_model_that_is_not_float32_is_refused_before_writing(tmp_path):
+    path = save_path(tmp_path)
+    with open(path, "wb") as fh:
+        fh.write(b"earlier")
+    model = QaRnnModel(RnnConfig(vocab_size=13, emb_dim=4, hidden_dim=3, variant="qa_dec"), seed=12, dtype=np.float64)
+    # the first parameter in manifest order, not the first the model allocated
+    with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: checkpoints store float32, "
+                                              "but parameter attn.b_c is float64$"):
+        save_checkpoint(model, model.config_dict(), path)
+    assert open(path, "rb").read() == b"earlier" and sorted(tmp_path.iterdir()) == [tmp_path / "model.qtip"]
+    for p in model.params.parameters():  # one float64 parameter is enough
+        p.tensor.data = p.tensor.data.astype(np.float64 if p.name == "emb" else np.float32)
+    with pytest.raises(CheckpointError, match="parameter emb is float64$"):
+        save_checkpoint(model, model.config_dict(), path)
+
+
 def test_round_trip_preserves_logits_bitwise(tmp_path):
     for build in (tiny_transformer, tiny_rnn):
         model = build()

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from qatip import rnn
 from qatip import tensor as T
 from qatip.attention import length_mask
 from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads, perturb_params
-from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, bilstm_encode, qa_attention, selective_gate
+from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, attend_review, bilstm_encode, selective_gate
 from qatip.tensor import ParamStore, Tensor
-from tape_walk import retained_buffers
+from tape_walk import walk
 
 
 def tiny_model(variant="both", d=2, e=3, vocab=9, seed=0, dtype=np.float64):
@@ -213,6 +212,133 @@ def test_gate_zero_state_stays_zero():
     assert np.all(gated.data == 0.0)
 
 
+# ---------------------------------------------------------------------------
+# the decoder as per-step tape ops: the reference T.decoder_scan is bitwise
+
+
+def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
+                 w_c: Tensor, w_q_attn: Tensor | None, b_c: Tensor, v: Tensor,
+                 mask: np.ndarray):
+    """Additive attention over review states, optionally query-conditioned.
+
+    c_i = W_c [H~_i; s_t] (+ W_q h_q) + b_c; a = softmax(v^T tanh(c));
+    returns (context (B, 2d), weights (B, N)).
+    """
+    b, n, width = h_tilde.shape
+    d_a = v.shape[0]
+    state_rows = T.broadcast_to(T.reshape(state, (b, 1, width)), (b, n, width))
+    c = T.add(T.matmul(T.concat([h_tilde, state_rows]), T.transpose(w_c)), b_c)
+    if h_q is not None:
+        c = T.add(c, T.reshape(T.matmul(h_q, T.transpose(w_q_attn)), (b, 1, d_a)))
+    return attend_review(h_tilde, c, v, mask)
+
+
+def _composite_decoder(x, h_tilde, mask, s0, cell: LstmCell, w_c, b_c, v, w_v, h_q=None, w_q=None) -> Tensor:
+    """The per-step ops decoder_scan fuses: attention, LstmCell.step and the output product, then the rows concatenated."""
+    b, m, e = x.shape
+    s, c = s0, Tensor(np.zeros(s0.shape, dtype=s0.dtype))
+    rows = []
+    for t in range(m):
+        # a reshape of v per step, as the per-step graph had: the sweep's order of v's sum depends on it
+        context, _ = qa_attention(h_tilde, s, h_q, w_c, w_q, b_c, T.reshape(v, (v.shape[0],)), mask)
+        s, c = cell.step(T.concat([T.reshape(T.slice_axis(x, 1, t, t + 1), (b, e)), context]), s, c)
+        rows.append(T.reshape(T.matmul(s, T.transpose(w_v)), (b, 1, w_v.shape[0])))
+    return T.concat(rows, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["vanilla", "qa_enc", "qa_dec", "both"])
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("d, e", [(3, 4), (16, 24)])
+def test_decoder_scan_is_bitwise_the_per_step_ops(dtype, variant, m, n, d, e):
+    model = tiny_model(variant, d=d, e=e, vocab=11, seed=30 + m + n, dtype=dtype)
+    rng = np.random.default_rng(50 + m + n)
+    for par in model.params.parameters():  # a generic point: biases away from their init
+        par.tensor.data += (0.3 * rng.standard_normal(par.tensor.shape)).astype(dtype)
+    b = 5
+    lengths = np.array([n, 1] + list(rng.integers(1, n + 1, size=b - 2)))  # a full row and a 1-token review
+    ctx = model.encode(rng.integers(3, 11, (b, n)) * length_mask(lengths, n), lengths,
+                       rng.integers(3, 11, (b, 2)), np.full(b, 2))
+    leaf = lambda data: Tensor(data, requires_grad=True, dtype=dtype)
+    x, h_tilde, s0 = leaf(rng.standard_normal((b, m, e))), leaf(ctx["h_tilde"].data), leaf(ctx["s0"].data)
+    cell = model.decoder
+    inputs = {"x": x, "h_tilde": h_tilde, "s0": s0, "w_c": model.w_c, "b_c": model.b_c, "v": model.v,
+              "w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b, "w_v": model.w_v}
+    query = {}
+    if variant in ("qa_dec", "both"):  # the query term is present only where attention reads it
+        query = {"h_q": leaf(ctx["h_q"].data), "w_q": model.w_q_attn}
+    probe = Tensor(rng.standard_normal((b, m, 11)), dtype=dtype)
+    runs = []
+    for decode in (lambda: _composite_decoder(x, h_tilde, ctx["mask"], s0, cell, model.w_c, model.b_c, model.v,
+                                              model.w_v, **query),
+                   lambda: T.decoder_scan(x, h_tilde, ctx["mask"], s0, model.w_c, model.b_c, model.v,
+                                          cell.w_x, cell.w_h, cell.b, model.w_v, **query)):
+        for t in (*inputs.values(), *query.values()):
+            t.zero_grad()
+        out = decode()
+        T.backward(T.sum_all(T.mul(out, probe)))
+        runs.append([out.data] + [t.grad for t in (*inputs.values(), *query.values())])
+    for name, ref, got in zip(["logits", *inputs, *query], *runs):
+        assert got.dtype == dtype and np.array_equal(ref, got), name
+    with T.no_grad():
+        out = T.decoder_scan(x, h_tilde, ctx["mask"], s0, model.w_c, model.b_c, model.v,
+                             cell.w_x, cell.w_h, cell.b, model.w_v, **query)
+    assert not out.requires_grad and out._backward is None and np.array_equal(out.data, runs[1][0])
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "qa_enc", "qa_dec", "both"])
+def test_model_gradients_are_bitwise_the_per_step_decoder(variant):
+    """Through the whole model: the embedding table, shared by the encoders and the decoder, sums in the same order."""
+    rng = np.random.default_rng(7)
+    batch = make_batch([Triplet(tuple(rng.integers(3, 12, 2 + i)), tuple(rng.integers(3, 12, 2)),
+                                (1,) + tuple(rng.integers(3, 12, 4 - i)) + (2,), "", "", "", str(i)) for i in range(3)])
+    grads = []
+    for per_step in (True, False):
+        model = QaRnnModel(RnnConfig(vocab_size=12, emb_dim=8, hidden_dim=6, variant=variant, dropout=0.2),
+                           seed=3, dtype=np.float32)
+        if per_step:
+            q = variant in ("qa_dec", "both")
+            model.decode_logits = lambda ctx, tip, train=False, model=model, q=q: _composite_decoder(
+                model._embed(tip, train), ctx["h_tilde"], ctx["mask"], ctx["s0"], model.decoder, model.w_c,
+                model.b_c, model.v, model.w_v, **({"h_q": ctx["h_q"], "w_q": model.w_q_attn} if q else {}))
+        T.backward(model.forward_loss(batch, train=True))
+        grads.append({p.name: p.tensor.grad for p in model.params.parameters()})
+    assert all(np.array_equal(grads[0][name], grads[1][name]) for name in grads[0])
+
+
+def _decoder_operands(rng, b=2, m=3, n=4, e=2, k=3, d=2, a=3, vocab=5, dtype=np.float64):
+    mk = lambda *shape: Tensor(rng.standard_normal(shape), dtype=dtype)
+    return dict(x=mk(b, m, e), h_tilde=mk(b, n, k), mask=np.ones((b, n), dtype=bool), s0=mk(b, d),
+                w_c=mk(a, k + d), b_c=mk(a), v=mk(a, 1), w_x=mk(e + k, 4 * d), w_h=mk(d, 4 * d), b=mk(4 * d),
+                w_v=mk(vocab, d))
+
+
+@pytest.mark.parametrize("name, shape, match", [
+    ("x", (2, 3), "x \\(B, M, e\\)"),
+    ("w_h", (2, 7), "w_h \\(2, 8\\)"),
+    ("s0", (2, 3), "s0 \\(2, 2\\)"),
+    ("w_c", (3, 4), "w_c \\(3, 5\\)"),
+    ("v", (3,), "v \\(3, 1\\)"),
+    ("w_x", (4, 8), "w_x \\(5, 8\\)"),
+    ("mask", (2, 3), "mask \\(B, N\\) = \\(2, 4\\)"),
+])
+def test_decoder_scan_rejects_bad_operands(name, shape, match):
+    ops = _decoder_operands(np.random.default_rng(0))
+    ops[name] = np.ones(shape, dtype=bool) if name == "mask" else Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=match):
+        T.decoder_scan(**ops)
+
+
+def test_decoder_scan_rejects_half_a_query_and_a_fully_masked_review():
+    ops = _decoder_operands(np.random.default_rng(1))
+    with pytest.raises(ValueError, match="h_q and w_q together"):
+        T.decoder_scan(**ops, h_q=Tensor(np.zeros((2, 3))))
+    ops["mask"] = np.array([[True] * 4, [False] * 4])
+    with pytest.raises(ValueError, match="fully masked"):
+        T.decoder_scan(**ops)
+
+
 def _attn_params(rng, width):
     mk = lambda shape: Tensor(rng.standard_normal(shape), dtype=np.float64)
     return mk((width, 2 * width)), mk((width, width)), mk((width,)), mk((width,))
@@ -335,25 +461,22 @@ def test_parameter_gradients_match_finite_differences():
     assert err < 1e-3, f"worst relative error {err:.2e}"
 
 
-def test_tape_keeps_no_per_step_attention_pre_activation(monkeypatch):
-    # 2d = 10 differs from every length: batch 3, review 7, query 3, tip input 5
+def test_decoder_tape_does_not_grow_with_the_tip():
+    # 2d = 10 differs from every length: batch 3, review 7, query 3, tip input 1 or 6
     model = tiny_model(d=5, e=4, vocab=12, dtype=np.float32)
     rng = np.random.default_rng(2)
-    batch = make_batch([Triplet(tuple(rng.integers(3, 12, 7)), tuple(rng.integers(3, 12, 3)),
-                                (1,) + tuple(rng.integers(3, 12, 4)) + (2,), "", "", "", str(i)) for i in range(3)])
-    pre_activations = []  # each decoder step's c, held here so that no buffer id is reused
-    attend = rnn.attend_review
-
-    def recorded(h_tilde, c, v, mask):
-        pre_activations.append(c.data)
-        return attend(h_tilde, c, v, mask)
-
-    monkeypatch.setattr(rnn, "attend_review", recorded)
-    buffers = retained_buffers(model.forward_loss(batch, train=True))
-
-    steps = batch.tip_input.shape[1]
-    assert len(pre_activations) == steps and all(c.shape == (3, 7, 10) for c in pre_activations)
-    assert not any(b is c for b in buffers for c in pre_activations)
-    # what is held at that shape: each step's tanh(c), which its backward reads, plus the encoder's
-    # states H, the gate and H~ = gate * H, which products read; no matmul or add output of c
-    assert sum(b.shape == (3, 7, 10) for b in buffers) == steps + 3
+    reviews = [(tuple(rng.integers(3, 12, 7)), tuple(rng.integers(3, 12, 3))) for _ in range(3)]
+    seen = []
+    for words in (0, 5):
+        batch = make_batch([Triplet(review, query, (1,) + tuple(rng.integers(3, 12, words)) + (2,), "", "", "", str(i))
+                            for i, (review, query) in enumerate(reviews)])
+        held, closures = walk(model.forward_loss(batch, train=True))
+        shapes = [buffer.shape for buffer, _ in held.values()]
+        # (B, N, 2 * width): only the gate's [H; h_r] input, no decoder step's [H~; s]
+        assert shapes.count((3, 7, 20)) == 1
+        # (B, N, width): each step's tanh of the attention pre-activation, plus the encoder's
+        # states H, the gate and H~ = gate * H
+        assert shapes.count((3, 7, 10)) == words + 1 + 3
+        assert closures["decoder_scan.<locals>.bwd"] == 1
+        seen.append(sum(closures.values()))
+    assert seen[0] == seen[1]

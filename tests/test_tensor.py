@@ -473,7 +473,7 @@ def test_relu_mask_from_its_output_is_the_mask_from_its_input():
 
 _TAPE_OPS = ("matmul", "linear", "transpose", "add", "sub", "mul", "scale", "sigmoid", "tanh", "relu",
              "softmax_rows", "layer_norm", "concat", "slice_axis", "embedding_lookup", "reshape",
-             "broadcast_to", "sum_all", "mean_all", "nll_loss", "dropout", "lstm_scan")
+             "broadcast_to", "sum_all", "mean_all", "nll_loss", "dropout", "lstm_scan", "decoder_scan")
 
 
 @pytest.mark.parametrize("family", ["rnn", "transformer"])
@@ -494,7 +494,7 @@ def test_wrapping_each_backward_in_place_leaves_gradients_bitwise(monkeypatch, f
         return {p.name: p.tensor.grad for p in model.params.parameters()}
 
     want = grads()
-    calls = []
+    made, calls = [], []
 
     def wrapping(op):
         def wrapped(*args, **kwargs):
@@ -502,13 +502,14 @@ def test_wrapping_each_backward_in_place_leaves_gradients_bitwise(monkeypatch, f
             if out._backward is not None and (not args or out is not args[0]):
                 inner = out._backward
                 out._backward = lambda g: calls.append(1) or inner(g)
+                made.append(1)
             return out
         return wrapped
 
     for name in _TAPE_OPS:
         monkeypatch.setattr(T, name, wrapping(getattr(T, name)))
     got = grads()
-    assert len(calls) > 50
+    assert len(calls) == len(made) > 40  # the sweep ran every wrapper the ops made
     assert want.keys() == got.keys() and all(np.array_equal(want[k], got[k]) for k in want)
 
 
@@ -527,7 +528,7 @@ def test_backward_leaves_only_parameters_and_loss_alive():
     gc.collect()
     before, nodes_before = len(_live(Tensor)), len(_live(T._Node))  # the parameters and whatever else the test process holds
     loss = model.forward_loss(batch, train=True)
-    assert len(_live(T._Node)) > nodes_before + 100  # the tape
+    assert len(_live(T._Node)) > nodes_before + 50  # the tape
     assert len(_live(Tensor)) <= before + 1  # its nodes hold no tensor the forward made, only the loss is left
     backward(loss)
     assert len(_live(Tensor)) <= before + 3
