@@ -5,11 +5,11 @@ A model that never reads the query is stuck at the majority class; the
 query-aware wirings solve the mapping exactly.
 """
 
-from qatip.corpus import encode_records, make_batches, vocab_from_records
+from qatip.config import RunConfig
+from qatip.corpus import encode_records, vocab_from_records
 from qatip.generation import greedy_decode
-from qatip.optim import Adam, clip_global_norm
 from qatip.synthetic import query_sensitivity_corpus
-from qatip.tensor import backward
+from qatip.train import train_model
 from qatip.transformer import QaTransformerModel, TransformerConfig
 
 records = query_sensitivity_corpus(n_queries=8, repeats=8, seed=29)
@@ -33,15 +33,7 @@ def train(variant, epochs):
         dropout=0.0, variant=variant, max_len=16,
     )
     model = QaTransformerModel(config, seed=11)
-    params = model.params.parameters()
-    opt = Adam(params, lr=0.005)
-    for epoch in range(epochs):
-        for batch in make_batches(triplets, 16, shuffle_seed=11 + epoch):
-            opt.zero_grad()
-            loss = model.forward_loss(batch, train=True)
-            backward(loss)
-            clip_global_norm(params, 5.0)
-            opt.step()
+    train_model(model, triplets, [], RunConfig(variant=variant, epochs=epochs, lr=0.005, batch_size=16, seed=11))
     return model
 
 

@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 
 from qatip.checkpoint import load_checkpoint, save_checkpoint
+from qatip.config import RunConfig
 from qatip.corpus import detokenize, encode_records, make_batches, vocab_from_records
 from qatip.generation import BeamConfig, beam_search, greedy_decode
-from qatip.optim import Adam, clip_global_norm
 from qatip.synthetic import overfit_corpus
-from qatip.tensor import backward
-from qatip.train import mean_loss
+from qatip.train import mean_loss, train_model
 from qatip.transformer import QaTransformerModel, TransformerConfig
 
 records = overfit_corpus(n=32, seed=13)
@@ -24,19 +23,16 @@ config = TransformerConfig(
     dropout=0.0, variant="both", max_len=32,
 )
 model = QaTransformerModel(config, seed=1)
-params = model.params.parameters()
-opt = Adam(params, lr=0.002)
+full = make_batches(triplets, 32)
 
-for epoch in range(60):
-    for batch in make_batches(triplets, 16, shuffle_seed=7 + epoch):
-        opt.zero_grad()
-        loss = model.forward_loss(batch, train=True)
-        backward(loss)
-        clip_global_norm(params, 5.0)
-        opt.step()
-    if epoch % 10 == 9:
-        full = mean_loss(model, make_batches(triplets, 32))
-        print(f"epoch {epoch:3d}  loss {full:.4f}")
+
+def report(stats):
+    """Print the whole-corpus loss every 10 epochs; returning None never stops training."""
+    if stats.epoch % 10 == 9:
+        print(f"epoch {stats.epoch:3d}  loss {mean_loss(model, full):.4f}")
+
+
+train_model(model, triplets, [], RunConfig(epochs=60, lr=0.002, batch_size=16, seed=7), log=report)
 
 # greedy decoding reproduces the memorized tips
 hits = 0

@@ -2,7 +2,8 @@
 
 Trains one model per seed with the gate's own corpus, shapes, epoch cap and
 stop rule (``run_one`` in ``tests/test_acceptance.py``), prints each seed's
-first-token accuracy, then how many seeds reached the gate's 0.95.  Run
+first-token accuracy and the epoch its training stopped at, then how many
+seeds reached the gate's 0.95.  Run
 from the repository root:
 
     python3 scripts/seed_rate.py --arch rnn --variant qa_dec --seeds 40-79 [--float64]
@@ -39,9 +40,9 @@ def main(argv=None) -> None:
     passed = 0
     started = time.perf_counter()
     for seed in args.seeds:
-        acc = run_one(args.arch, args.variant, seed, vocab_size, triplets, dtype=dtype)
+        acc, epochs = run_one(args.arch, args.variant, seed, vocab_size, triplets, dtype=dtype)
         passed += acc >= 0.95
-        print(f"seed {seed}: first-token accuracy {acc:.3f}", flush=True)
+        print(f"seed {seed}: first-token accuracy {acc:.3f} after {epochs} epochs", flush=True)
     print(f"{args.arch}/{args.variant} {np.dtype(dtype).name}: {passed} of {len(args.seeds)} seeds "
           f"reach 0.95 ({time.perf_counter() - started:.0f}s)")
 

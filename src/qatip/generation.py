@@ -1,14 +1,15 @@
 """Greedy and beam-search decoding over any model exposing the step protocol.
 
-A model provides ``prepare(review_ids, query_ids) -> ctx`` and
-``step_logits(ctx, prefix_ids) -> (V,) ndarray``, which recomputes the
-next-token logits from the full prefix; greedy decoding and rescoring use
-that.  Beam search decodes several records at once and steps
-incrementally: ``prepare_batch(reviews, queries) -> ctx``, ``start(ctx) ->
+Both decoders step incrementally: ``prepare_batch(reviews, queries) ->
+ctx`` (``prepare(review_ids, query_ids)`` for one record), ``start(ctx) ->
 state`` with one row per record, and ``advance(ctx, state, parents, tokens)
 -> (logits (R, V), state)``, where ``parents`` picks the state row each of
 the R live hypotheses extends and ``tokens`` are their last tokens, so one
-call scores a whole step of every record.
+call scores a whole step of every record.  Beam search decodes several
+records at once; greedy decoding extends one row.  ``rescore`` instead
+recomputes each next-token distribution from the full prefix with
+``step_logits(ctx, prefix_ids) -> (V,) ndarray``, an independent path that
+checks the beam's stored scores.
 
 Scoring conventions (mirrored exactly by the test oracles):
   - per-step distribution = log-softmax over logits after masking banned
@@ -84,9 +85,13 @@ def rank_key(hyp: Hypothesis, alpha: float):
 def greedy_decode(model, review_ids, query_ids, max_len: int, ban_tokens=(UNK_ID,)) -> tuple:
     """Argmax decoding; ties go to the lowest token id.  Returns surface ids."""
     ctx = model.prepare(review_ids, query_ids)
+    state = model.start(ctx)
     ids = (BOS_ID,)
     while len(ids) - 1 < max_len:
-        log_probs = step_log_probs(model, ctx, ids, ban_tokens)
+        logits, state = model.advance(ctx, state, [0], [ids[-1]])
+        log_probs = masked_log_softmax(logits[0], ban_tokens)
+        if np.isnan(log_probs).any():
+            raise ValueError(f"NaN in next-token log-probabilities after {len(ids) - 1} tokens")
         tok = int(np.argmax(log_probs))
         if tok == EOS_ID:
             break

@@ -3,6 +3,8 @@
 Each epoch reshuffles with a seed derived from (base seed + epoch), so a
 (seed, config, data) triple fully determines every logged loss.  The best
 validation model and the final model are both written as checkpoints.
+Training stops after ``config.epochs`` epochs, or earlier, after the first
+epoch whose ``log(stats)`` call returns a true value.
 """
 
 from __future__ import annotations
@@ -79,7 +81,12 @@ def train_model(
     log=None,
     vocab_fingerprint: str | None = None,
 ) -> TrainResult:
-    """A given ``vocab_fingerprint`` goes into the checkpoint snapshot as ``vocab_sha256``."""
+    """Train for at most ``config.epochs`` epochs, calling ``log(stats)`` after each.
+
+    Training ends after the first epoch whose ``log`` call returns a true value; the final
+    checkpoint is still written.  An empty ``valid_triplets`` gives ``valid_loss`` 0.  A given
+    ``vocab_fingerprint`` goes into the checkpoint snapshot as ``vocab_sha256``.
+    """
     params = model.params.parameters()
     optimizer = Adam(params, lr=config.lr)
     snapshot = {**model.config_dict(), "run": config.to_dict()}
@@ -132,13 +139,14 @@ def train_model(
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
         )
         history.append(stats)
-        if log is not None:
-            log(stats)
+        stop = log is not None and log(stats)
         if stats.valid_loss < best_valid:
             best_valid = stats.valid_loss
             best_epoch = epoch
             if best_path:
                 save_checkpoint(model, snapshot, best_path)
+        if stop:
+            break
     if final_path:
         save_checkpoint(model, snapshot, final_path)
     if best_path and best_epoch < 0:

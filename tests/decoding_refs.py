@@ -72,19 +72,12 @@ class FailingModel:
     def max_prefix_len(self):
         return self.inner.max_prefix_len
 
-    def prepare(self, review_ids, query_ids):
-        return self.prepare_batch([review_ids], [query_ids])
-
     def prepare_batch(self, reviews, queries):
         reviews = [tuple(r) for r in reviews]
         if self.poison in reviews:
             raise RuntimeError("poisoned record")
         return {"inner": self.inner.prepare_batch(reviews, queries),
                 "nan": np.array([r == self.nan for r in reviews])}
-
-    def step_logits(self, ctx, prefix_ids):
-        logits = self.inner.step_logits(ctx["inner"], prefix_ids)
-        return np.full_like(logits, np.nan) if ctx["nan"][0] else logits
 
     def start(self, ctx):
         return np.arange(len(ctx["nan"])), self.inner.start(ctx["inner"])

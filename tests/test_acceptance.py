@@ -29,6 +29,7 @@ from qatip.baselines import (
 )
 from qatip.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from qatip.cli import main
+from qatip.config import RunConfig
 from qatip.corpus import (
     DatasetError,
     detokenize,
@@ -42,11 +43,9 @@ from qatip.embeddings import EmbeddingTable, load_embeddings
 from qatip.evaluation import bleu_corpus, lexicon_score, semantic_score
 from qatip.generation import BeamConfig, beam_search, greedy_decode
 from qatip.gradcheck import run_gradient_suite
-from qatip.optim import Adam, clip_global_norm
 from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.synthetic import overfit_corpus, pipeline_corpus, query_sensitivity_corpus
-from qatip.tensor import backward
-from qatip.train import mean_loss
+from qatip.train import mean_loss, train_model
 from qatip.transformer import QaTransformerModel, TransformerConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -95,20 +94,9 @@ def gate(area):
     return wrap
 
 
-def fit(model, triplets, epochs, lr, batch_size, seed, check_every, stop):
-    """Adam training loop with an early-exit predicate; returns epochs used."""
-    params = model.params.parameters()
-    opt = Adam(params, lr=lr)
-    for epoch in range(epochs):
-        for batch in make_batches(triplets, batch_size, shuffle_seed=seed + epoch):
-            opt.zero_grad()
-            loss = model.forward_loss(batch, train=True)
-            backward(loss)
-            clip_global_norm(params, 5.0)
-            opt.step()
-        if check_every and (epoch + 1) % check_every == 0 and stop(model):
-            return epoch + 1
-    return epochs
+def check_every(k, predicate):
+    """A ``train_model`` epoch callback that stops training once ``predicate()`` holds, asked every ``k`` epochs."""
+    return lambda stats: (stats.epoch + 1) % k == 0 and predicate()
 
 
 def exact_match_rate(model, triplets, vocab, max_len):
@@ -171,10 +159,12 @@ def test_models_memorize_small_corpus():
     for arch, build in builders.items():
         started = time.perf_counter()
         model = build()
-        used = fit(
-            model, triplets, caps[arch], lr=0.001, batch_size=16, seed=7,
-            check_every=20, stop=lambda m: mean_loss(m, full) < 0.05,
+        result = train_model(
+            model, triplets, [],
+            RunConfig(arch=arch, variant="both", epochs=caps[arch], lr=0.001, batch_size=16, seed=7),
+            log=check_every(20, lambda: mean_loss(model, full) < 0.05),
         )
+        used = len(result.history)
         loss = mean_loss(model, full)
         rate = exact_match_rate(model, triplets, vocab, max_len=8)
         elapsed = time.perf_counter() - started
@@ -196,7 +186,7 @@ def query_sensitivity_data():
 
 
 def run_one(arch, variant, seed, vocab_size, triplets, dtype=np.float32):
-    """First-token accuracy of one query-sensitivity model after its training.
+    """First-token accuracy of one query-sensitivity model after its training, and the epochs it trained.
 
     vanilla trains 60 epochs; the query-aware variants train until a
     first-token accuracy of 0.95, checked every 20 epochs, or the cap
@@ -219,13 +209,15 @@ def run_one(arch, variant, seed, vocab_size, triplets, dtype=np.float32):
         )
         cap = 700
     if variant == "vanilla":
-        fit(model, triplets, 60, lr=0.005, batch_size=16, seed=seed,
-            check_every=0, stop=None)
+        cap, stop = 60, None
     else:
-        fit(model, triplets, cap, lr=0.005, batch_size=16, seed=seed,
-            check_every=20,
-            stop=lambda m: first_token_accuracy(m, triplets) >= 0.95)
-    return first_token_accuracy(model, triplets)
+        stop = check_every(20, lambda: first_token_accuracy(model, triplets) >= 0.95)
+    result = train_model(
+        model, triplets, [],
+        RunConfig(arch=arch, variant=variant, epochs=cap, lr=0.005, batch_size=16, seed=seed),
+        log=stop,
+    )
+    return first_token_accuracy(model, triplets), len(result.history)
 
 
 @gate("query sensitivity")
@@ -238,7 +230,7 @@ def test_query_conditioning_separates_variants():
     parts = []
     for arch in ("transformer", "rnn"):
         for variant in ("vanilla", "qa_enc", "qa_dec", "both"):
-            accs = [run_one(arch, variant, seed, vocab_size, triplets) for seed in (11, 22, 33)]
+            accs = [run_one(arch, variant, seed, vocab_size, triplets)[0] for seed in (11, 22, 33)]
             if variant == "vanilla":
                 good = all(a <= floor + 0.05 for a in accs)
             else:

@@ -233,11 +233,15 @@ def test_batch_generate_max_len_bounded_by_position_table():
     assert prepared == []  # rejected before any record
 
 
-def test_beam_reports_nan_logits():
+@pytest.mark.parametrize("decode", [
+    lambda model: beam_search(model, (0,), (0,), BeamConfig(max_len=3, width=2)),
+    lambda model: greedy_decode(model, (0,), (0,), max_len=3),
+], ids=["beam", "greedy"])
+def test_beam_reports_nan_logits(decode):
     model = TableModel(vocab_size=5)
-    model.step_logits = lambda ctx, prefix: np.full(5, np.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        beam_search(model, (0,), (0,), BeamConfig(max_len=3, width=2))
+    model.step_logits = lambda ctx, prefix: peaked(5, 4) if len(prefix) == 1 else np.full(5, np.nan)
+    with pytest.raises(ValueError, match="NaN in next-token log-probabilities after 1 tokens"):
+        decode(model)
 
 
 def test_generation_records_steps_and_finish():

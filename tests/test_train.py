@@ -38,9 +38,10 @@ def tiny_setup(arch="rnn", n=12, epochs=2, seed=5):
 
 def test_loss_decreases_over_epochs():
     model, triplets, config, _ = tiny_setup(epochs=8)
-    result = train_model(model, triplets, triplets, config)
+    result = train_model(model, triplets, [], config)
     assert len(result.history) == 8
     assert result.history[-1].train_loss < result.history[0].train_loss
+    assert [stats.valid_loss for stats in result.history] == [0.0] * 8  # no validation set
 
 
 def test_determinism_same_seed():
@@ -61,15 +62,19 @@ def test_different_seed_differs():
     assert traces[0] != traces[1]
 
 
-def test_checkpoints_written(tmp_path):
-    model, triplets, config, _ = tiny_setup(epochs=2)
+def test_checkpoints_written_when_the_callback_stops_training(tmp_path):
+    model, triplets, config, _ = tiny_setup(epochs=4)
     out = str(tmp_path / "run")
-    result = train_model(model, triplets, triplets, config, out_dir=out)
+    result = train_model(model, triplets, triplets, config, out_dir=out, log=lambda stats: stats.epoch == 1)
+    assert len(result.history) == 2  # a true return ends training after that epoch
     assert os.path.exists(result.best_path)
-    assert os.path.exists(result.final_path)
     best, snapshot = load_checkpoint(result.best_path)
-    assert snapshot["run"]["epochs"] == 2
+    assert snapshot["run"]["epochs"] == 4
     assert best.config.vocab_size == model.config.vocab_size
+    final, _ = load_checkpoint(result.final_path)
+    trained = {p.name: p.tensor.data for p in model.params.parameters()}
+    for p in final.params.parameters():
+        np.testing.assert_array_equal(p.tensor.data, trained[p.name])
 
 
 def test_zero_epochs_saves_initialized_checkpoint(tmp_path):
@@ -92,7 +97,7 @@ def test_best_checkpoint_tracks_valid_loss(tmp_path):
     result = train_model(
         model, triplets, triplets, config, out_dir=out, log=logged.append
     )
-    assert len(logged) == 4
+    assert len(logged) == len(result.history) == 4  # a None return never stops training
     best = min(range(4), key=lambda i: result.history[i].valid_loss)
     assert result.best_epoch == best
     assert result.best_valid == result.history[best].valid_loss
