@@ -82,7 +82,7 @@ def _load_training_config(args):
 
 
 def cmd_train(args) -> int:
-    from .corpus import Vocabulary, encode_records, load_jsonl, split_dataset
+    from .corpus import DatasetError, Vocabulary, encode_records, load_jsonl, split_dataset
     from .models import FAMILIES
     from .train import train_model
 
@@ -97,6 +97,8 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"invalid model settings: {exc}") from None
     records = load_jsonl(config.data)
+    if not records:
+        raise DatasetError(f"{config.data}: no training records")
     triplets = encode_records(
         records,
         vocab,

@@ -17,8 +17,8 @@ Decoder: unidirectional LSTM (hidden 2d) over [prev embedding; context],
 attention recomputed each step from the previous state; logits are
 W_v . state.  Under teacher forcing (training, scoring) every step is one
 ``T.decoder_scan`` tape node.  Beam search computes the review half of the
-attention once per record (``prepare_batch``) and adds only the state's
-term each step, through ``attend_review`` and ``LstmCell.step``.
+attention once per record (``prepare_batch``), adds only the state's term
+each step and runs the scan's own step, ``T.decoder_step``, on arrays.
 """
 
 from __future__ import annotations
@@ -52,30 +52,16 @@ class RnnConfig:
 
 
 class LstmCell:
-    """Packed-gate LSTM cell; gate order i, f, g, o with forget bias +1.
+    """Packed-gate LSTM weights; gate order i, f, g, o with forget bias +1.
 
-    ``step`` runs a beam-search decoder step; the encoder runs each
-    direction's weights through one ``T.lstm_scan`` and the teacher-forced
-    decoder its weights through one ``T.decoder_scan``, both of which repeat
-    ``step``'s arithmetic.
+    ``T.lstm_scan`` runs an encoder direction's cell, ``T.decoder_step`` the
+    decoder's, under teacher forcing through ``T.decoder_scan``.
     """
 
     def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int):
         self.w_x = store.glorot(f"{prefix}.w_x", (in_dim, 4 * hidden))
         self.w_h = store.glorot(f"{prefix}.w_h", (hidden, 4 * hidden))
         self.b = store.lstm_bias(f"{prefix}.b", hidden)
-        self.hidden = hidden
-
-    def step(self, x: Tensor, h: Tensor, c: Tensor):
-        d = self.hidden
-        pre = T.add(T.add(T.matmul(x, self.w_x), T.matmul(h, self.w_h)), self.b)
-        i = T.sigmoid(T.slice_axis(pre, -1, 0, d))
-        f = T.sigmoid(T.slice_axis(pre, -1, d, 2 * d))
-        g = T.tanh(T.slice_axis(pre, -1, 2 * d, 3 * d))
-        o = T.sigmoid(T.slice_axis(pre, -1, 3 * d, 4 * d))
-        c_new = T.add(T.mul(f, c), T.mul(i, g))
-        h_new = T.mul(o, T.tanh(c_new))
-        return h_new, c_new
 
 
 def _summary(h_seq: Tensor, lengths: np.ndarray) -> Tensor:
@@ -113,16 +99,6 @@ def selective_gate(h_seq: Tensor, h_r: Tensor, h_q: Tensor,
     query_term = T.reshape(T.matmul(h_q, T.transpose(w_q_gate)), (b, 1, width))
     gate = T.sigmoid(T.add(T.add(pre, query_term), b_g))
     return T.mul(gate, h_seq), gate
-
-
-def attend_review(h_tilde: Tensor, c: Tensor, v: Tensor, mask: np.ndarray):
-    """a = softmax(v^T tanh(c)) over the review positions of pre-activations c (B, N, d_a)."""
-    b, n, width = h_tilde.shape
-    d_a = v.shape[0]
-    scores = T.transpose(T.matmul(T.tanh(c), T.reshape(v, (d_a, 1))), 1, 2)  # (B, 1, N)
-    weights = T.softmax_rows(scores, mask=mask[:, None, :])
-    context = T.reshape(T.matmul(weights, h_tilde), (b, width))
-    return context, T.reshape(weights, (b, n))
 
 
 class QaRnnModel(Seq2Seq):
@@ -198,12 +174,11 @@ class QaRnnModel(Seq2Seq):
         """The decoding context plus ``review_term``, H~ W_c[:, :2d]^T + b_c (+ W_q h_q):
         the part of the attention pre-activation c that no decoder step changes."""
         ctx = super().prepare_batch(reviews, queries)
-        h_tilde = ctx["h_tilde"]
+        h_tilde = ctx["h_tilde"].data
         b, _, width = h_tilde.shape
-        with T.no_grad():
-            term = T.add(T.matmul(h_tilde, T.transpose(T.slice_axis(self.w_c, -1, 0, width))), self.b_c)
-            if self._use_query_attn:
-                term = T.add(term, T.reshape(T.matmul(ctx["h_q"], T.transpose(self.w_q_attn)), (b, 1, width)))
+        term = h_tilde @ np.swapaxes(self.w_c.data[:, :width], -2, -1) + self.b_c.data
+        if self._use_query_attn:
+            term = term + (ctx["h_q"].data @ np.swapaxes(self.w_q_attn.data, -2, -1)).reshape(b, 1, width)
         return {**ctx, "review_term": term}
 
     def _start(self, ctx: dict) -> list:
@@ -211,13 +186,13 @@ class QaRnnModel(Seq2Seq):
         return [ctx["s0"], Tensor(np.zeros_like(ctx["s0"].data))]
 
     def _step(self, ctx: dict, records: np.ndarray, rows: list, tokens: np.ndarray):
-        """Attention adds only the state's term s W_c[:, 2d:]^T to each record's ``review_term``."""
-        s, c = rows
+        """``T.decoder_step`` on arrays; attention adds only the state's term s W_c[:, 2d:]^T
+        to each record's ``review_term``."""
+        s, c = (t.data for t in rows)
         r, width = s.shape
-        state_term = T.matmul(s, T.transpose(T.slice_axis(self.w_c, -1, width, 2 * width)))
-        pre = T.add(Tensor(ctx["review_term"].data[records]), T.reshape(state_term, (r, 1, width)))
-        context, _ = attend_review(Tensor(ctx["h_tilde"].data[records]), pre,
-                                   T.reshape(self.v, (self.v.shape[0],)), ctx["mask"][records])
-        emb_t = T.reshape(self._embed(tokens, False), (r, self.config.emb_dim))
-        s, c = self.decoder.step(T.concat([emb_t, context]), s, c)
-        return T.matmul(s, T.transpose(self.w_v)), [s, c]
+        state_term = s @ np.swapaxes(self.w_c.data[:, width:], -2, -1)
+        cell = self.decoder
+        s, c, *_ = T.decoder_step(ctx["review_term"][records] + state_term.reshape(r, 1, width),
+                                  ctx["h_tilde"].data[records], ctx["mask"][records, None, :], self.v.data,
+                                  self.emb.data[tokens].reshape(r, -1), s, c, cell.w_x.data, cell.w_h.data, cell.b.data)
+        return Tensor(s @ np.swapaxes(self.w_v.data, -2, -1)), [Tensor(s), Tensor(c)]

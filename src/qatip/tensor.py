@@ -728,6 +728,23 @@ def _beside_rows(memory: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate([memory, np.broadcast_to(s.reshape(bsz, 1, d), (bsz, n, d))], axis=-1)
 
 
+def decoder_step(pre_c: np.ndarray, h_tilde: np.ndarray, keep: np.ndarray, v: np.ndarray, x_t: np.ndarray,
+                 s: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray):
+    """One ``decoder_scan`` step on arrays, from its attention pre-activation pre_c (B, N, a).
+
+    Attends a = softmax(v^T tanh(pre_c)) over the positions the keep mask (B, 1, N) marks,
+    then runs one LSTM step over [x_t; a h_tilde] from the state s and cell c.  Returns the
+    new state and cell, then what the scan's backward reads: tanh(pre_c), a, the cell
+    input, the gate activations and tanh of the new cell.
+    """
+    bsz, k, d = h_tilde.shape[0], h_tilde.shape[2], c.shape[-1]
+    th = np.tanh(pre_c)
+    attn = _softmax(np.swapaxes(th @ v, 1, 2), keep)
+    x_in = np.concatenate([x_t, (attn @ h_tilde).reshape(bsz, k)], axis=-1)
+    act, c_new, tanh_c = _lstm_cell((x_in @ w_x + s @ w_h) + b, c)
+    return act[:, 3 * d :] * tanh_c, c_new, th, attn, x_in, act, tanh_c
+
+
 def decoder_scan(x: Tensor, h_tilde: Tensor, mask, s0: Tensor, w_c: Tensor, b_c: Tensor, v: Tensor,
                  w_x: Tensor, w_h: Tensor, b: Tensor, w_v: Tensor,
                  h_q: Tensor | None = None, w_q: Tensor | None = None) -> Tensor:
@@ -740,7 +757,8 @@ def decoder_scan(x: Tensor, h_tilde: Tensor, mask, s0: Tensor, w_c: Tensor, b_c:
     packed i, f, g, o in w_x (e + k, 4d), w_h (d, 4d) and b (4d,), from s and a cell that
     starts at zero, gives the new s and the logits s W_v^T, w_v (V, d).
 
-    Each step makes the numpy calls the per-step ops make, on the same views, and the
+    Each step forms the pre-activation and runs ``decoder_step``, the step beam search
+    runs too; it makes the numpy calls the per-step ops make, on the same views, and the
     backward sums every shared gradient in the order the tape's sweep sums the per-step
     graph's, so the values and gradients are bitwise those of the unfused ops.  The node
     keeps each step's state, tanh of the attention pre-activation, attention weights,
@@ -788,15 +806,12 @@ def decoder_scan(x: Tensor, h_tilde: Tensor, mask, s0: Tensor, w_c: Tensor, b_c:
         pre_c = _beside_rows(ht, s) @ np.swapaxes(wc, -2, -1) + bc
         if query:
             pre_c = pre_c + q_term
-        th = np.tanh(pre_c)
-        attn = _softmax(np.swapaxes(th @ vd, 1, 2), keep)  # (B, 1, N)
-        x_in = np.concatenate([xs[:, t : t + 1, :].reshape(bsz, e), (attn @ ht).reshape(bsz, k)], axis=-1)
-        act, c_new, tanh_c = _lstm_cell((x_in @ wx + s @ wh) + bias, c)
-        s, c_prev, c = act[:, 3 * d :] * tanh_c, c, c_new
+        s, c_new, *kept = decoder_step(pre_c, ht, keep, vd, xs[:, t : t + 1, :].reshape(bsz, e), s, c, wx, wh, bias)
         out_data[:, t, :] = s @ np.swapaxes(wv, -2, -1)
         if track:
             states.append(s)
-            saved.append((c_prev, th, attn, x_in, act, tanh_c))
+            saved.append((c, *kept))
+        c = c_new
 
     def bwd(g_out):
         g_logits = [g_out[:, t : t + 1, :].reshape(bsz, vocab) for t in range(m)]

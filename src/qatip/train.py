@@ -84,9 +84,14 @@ def train_model(
     """Train for at most ``config.epochs`` epochs, calling ``log(stats)`` after each.
 
     Training ends after the first epoch whose ``log`` call returns a true value; the final
-    checkpoint is still written.  An empty ``valid_triplets`` gives ``valid_loss`` 0.  A given
-    ``vocab_fingerprint`` goes into the checkpoint snapshot as ``vocab_sha256``.
+    checkpoint is still written.  An empty ``train_triplets`` is refused; an empty ``valid_triplets``
+    gives ``valid_loss`` 0, and is refused with an ``out_dir``, which keeps the best validation
+    model.  A given ``vocab_fingerprint`` goes into the checkpoint snapshot as ``vocab_sha256``.
     """
+    if not train_triplets:
+        raise ValueError("no training records")
+    if out_dir and not valid_triplets:
+        raise ValueError("no validation records to pick the best checkpoint by")
     params = model.params.parameters()
     optimizer = Adam(params, lr=config.lr)
     snapshot = {**model.config_dict(), "run": config.to_dict()}

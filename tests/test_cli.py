@@ -85,6 +85,17 @@ def test_train_zero_epochs(workdir, capsys, tmp_path):
     assert os.path.exists(tail["final_checkpoint"])
 
 
+def test_train_refuses_an_empty_data_file(workdir, capsys, tmp_path):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("", encoding="utf-8")
+    assert main(["train", "--config", workdir["config"], "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DatasetError"
+    assert err["message"] == f"{data}: no training records"
+    assert not (tmp_path / "run").exists()
+
+
 def test_generate_covers_every_record(workdir, capsys, tmp_path):
     out = str(tmp_path / "gen.jsonl")
     assert main(["generate", "--checkpoint", workdir["checkpoint"],

@@ -7,7 +7,7 @@ from qatip import tensor as T
 from qatip.attention import length_mask
 from qatip.corpus import Triplet, make_batch
 from qatip.gradcheck import check_grads, perturb_params
-from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, attend_review, bilstm_encode, selective_gate
+from qatip.rnn import LstmCell, QaRnnModel, RnnConfig, bilstm_encode, selective_gate
 from qatip.tensor import ParamStore, Tensor
 from tape_walk import walk
 
@@ -143,17 +143,31 @@ def test_bilstm_summary_matches_quoted_construction():
     assert np.allclose(summary.data[1, :d], h_seq.data[1, 3, :d], atol=1e-12)
 
 
+def lstm_step(cell: LstmCell, x: Tensor, h: Tensor, c: Tensor):
+    """One packed-gate cell step as per-op tape ops: the reference of lstm_scan's and decoder_step's cell."""
+    d = cell.w_h.shape[0]
+    pre = T.add(T.add(T.matmul(x, cell.w_x), T.matmul(h, cell.w_h)), cell.b)
+    i = T.sigmoid(T.slice_axis(pre, -1, 0, d))
+    f = T.sigmoid(T.slice_axis(pre, -1, d, 2 * d))
+    g = T.tanh(T.slice_axis(pre, -1, 2 * d, 3 * d))
+    o = T.sigmoid(T.slice_axis(pre, -1, 3 * d, 4 * d))
+    c_new = T.add(T.mul(f, c), T.mul(i, g))
+    h_new = T.mul(o, T.tanh(c_new))
+    return h_new, c_new
+
+
 def _composite_scan(cell: LstmCell, emb: Tensor, mask: np.ndarray, reverse: bool) -> Tensor:
-    """The per-step ops lstm_scan fuses: LstmCell.step, masked, then the states concatenated."""
+    """The per-step ops lstm_scan fuses: lstm_step, masked, then the states concatenated."""
     b, n, e = emb.shape
-    h = Tensor(np.zeros((b, cell.hidden), dtype=emb.dtype))
-    c = Tensor(np.zeros((b, cell.hidden), dtype=emb.dtype))
+    d = cell.w_h.shape[0]
+    h = Tensor(np.zeros((b, d), dtype=emb.dtype))
+    c = Tensor(np.zeros((b, d), dtype=emb.dtype))
     states = [None] * n
     for t in range(n - 1, -1, -1) if reverse else range(n):
         m_t = Tensor(mask[:, t : t + 1].astype(emb.dtype))
-        h_new, c_new = cell.step(T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e)), h, c)
+        h_new, c_new = lstm_step(cell, T.reshape(T.slice_axis(emb, 1, t, t + 1), (b, e)), h, c)
         h, c = T.mul(h_new, m_t), T.mul(c_new, m_t)
-        states[t] = T.reshape(h, (b, 1, cell.hidden))
+        states[t] = T.reshape(h, (b, 1, d))
     return T.concat(states, axis=1)
 
 
@@ -213,7 +227,17 @@ def test_gate_zero_state_stays_zero():
 
 
 # ---------------------------------------------------------------------------
-# the decoder as per-step tape ops: the reference T.decoder_scan is bitwise
+# the decoder as per-step tape ops: the reference T.decoder_scan and the beam step are bitwise
+
+
+def attend_review(h_tilde: Tensor, c: Tensor, v: Tensor, mask: np.ndarray):
+    """a = softmax(v^T tanh(c)) over the review positions of pre-activations c (B, N, d_a)."""
+    b, n, width = h_tilde.shape
+    d_a = v.shape[0]
+    scores = T.transpose(T.matmul(T.tanh(c), T.reshape(v, (d_a, 1))), 1, 2)  # (B, 1, N)
+    weights = T.softmax_rows(scores, mask=mask[:, None, :])
+    context = T.reshape(T.matmul(weights, h_tilde), (b, width))
+    return context, T.reshape(weights, (b, n))
 
 
 def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
@@ -234,14 +258,14 @@ def qa_attention(h_tilde: Tensor, state: Tensor, h_q: Tensor | None,
 
 
 def _composite_decoder(x, h_tilde, mask, s0, cell: LstmCell, w_c, b_c, v, w_v, h_q=None, w_q=None) -> Tensor:
-    """The per-step ops decoder_scan fuses: attention, LstmCell.step and the output product, then the rows concatenated."""
+    """The per-step ops decoder_scan fuses: attention, lstm_step and the output product, then the rows concatenated."""
     b, m, e = x.shape
     s, c = s0, Tensor(np.zeros(s0.shape, dtype=s0.dtype))
     rows = []
     for t in range(m):
         # a reshape of v per step, as the per-step graph had: the sweep's order of v's sum depends on it
         context, _ = qa_attention(h_tilde, s, h_q, w_c, w_q, b_c, T.reshape(v, (v.shape[0],)), mask)
-        s, c = cell.step(T.concat([T.reshape(T.slice_axis(x, 1, t, t + 1), (b, e)), context]), s, c)
+        s, c = lstm_step(cell, T.concat([T.reshape(T.slice_axis(x, 1, t, t + 1), (b, e)), context]), s, c)
         rows.append(T.reshape(T.matmul(s, T.transpose(w_v)), (b, 1, w_v.shape[0])))
     return T.concat(rows, axis=1)
 
@@ -305,6 +329,50 @@ def test_model_gradients_are_bitwise_the_per_step_decoder(variant):
         T.backward(model.forward_loss(batch, train=True))
         grads.append({p.name: p.tensor.grad for p in model.params.parameters()})
     assert all(np.array_equal(grads[0][name], grads[1][name]) for name in grads[0])
+
+
+def _per_op_beam_step(model, ctx, records, s, c, tokens):
+    """The beam step as per-step tape ops: attention over the split pre-activation
+    H~ W_c[:, :2d]^T + b_c (+ W_q h_q) + s W_c[:, 2d:]^T, lstm_step, then the logits."""
+    h_tilde, (r, width) = ctx["h_tilde"], s.shape
+    review_term = T.add(T.matmul(h_tilde, T.transpose(T.slice_axis(model.w_c, -1, 0, width))), model.b_c)
+    if model.config.variant in ("qa_dec", "both"):
+        query_term = T.matmul(ctx["h_q"], T.transpose(model.w_q_attn))
+        review_term = T.add(review_term, T.reshape(query_term, (h_tilde.shape[0], 1, width)))
+    state_term = T.matmul(s, T.transpose(T.slice_axis(model.w_c, -1, width, 2 * width)))
+    pre = T.add(Tensor(review_term.data[records]), T.reshape(state_term, (r, 1, width)))
+    context, _ = attend_review(Tensor(h_tilde.data[records]), pre, T.reshape(model.v, (width,)),
+                               ctx["mask"][records])
+    emb_t = T.reshape(T.embedding_lookup(model.emb, tokens), (r, model.config.emb_dim))
+    s, c = lstm_step(model.decoder, T.concat([emb_t, context]), s, c)
+    return T.matmul(s, T.transpose(model.w_v)), s, c
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["vanilla", "qa_enc", "qa_dec", "both"])
+def test_rnn_step_is_bitwise_the_per_step_ops(dtype, variant):
+    model = tiny_model(variant, d=5, e=4, vocab=13, seed=60, dtype=dtype)
+    rng = np.random.default_rng(61)
+    for par in model.params.parameters():  # a generic point: biases away from their init
+        par.tensor.data += (0.3 * rng.standard_normal(par.tensor.shape)).astype(dtype)
+    # a full row, a 1-token review and a row with PAD positions
+    reviews = [tuple(rng.integers(3, 13, n)) for n in (6, 1, 4)]
+    ctx = model.prepare_batch(reviews, [tuple(rng.integers(3, 13, 2)) for _ in reviews])
+    state = model.start(ctx)
+    records, s, c = state[0], state[1], state[2]
+    parents = [2, 0, 0, 1, 2]  # reordered and repeated rows
+    for _ in range(4):
+        tokens = rng.integers(3, 13, size=len(parents))
+        logits, state = model.advance(ctx, state, parents, tokens)
+        records = records[parents]
+        with T.no_grad():
+            ref, s, c = _per_op_beam_step(model, ctx, records, Tensor(s.data[parents]), Tensor(c.data[parents]),
+                                          tokens.reshape(-1, 1))
+        assert np.array_equal(state[0], records)
+        assert logits.dtype == np.float64 and np.array_equal(logits, ref.data.astype(np.float64))
+        for got, want in zip(state[1:], (s, c)):
+            assert got.dtype == dtype and np.array_equal(got.data, want.data)
+        parents = rng.integers(0, len(parents), size=rng.integers(2, 7))
 
 
 def _decoder_operands(rng, b=2, m=3, n=4, e=2, k=3, d=2, a=3, vocab=5, dtype=np.float64):

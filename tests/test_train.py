@@ -44,6 +44,16 @@ def test_loss_decreases_over_epochs():
     assert [stats.valid_loss for stats in result.history] == [0.0] * 8  # no validation set
 
 
+def test_empty_training_data_or_checkpoints_without_validation_are_refused(tmp_path):
+    model, triplets, config, _ = tiny_setup(epochs=2)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="^no training records$"):
+        train_model(model, [], triplets, config, out_dir=str(out))
+    with pytest.raises(ValueError, match="^no validation records to pick the best checkpoint by$"):
+        train_model(model, triplets, [], config, out_dir=str(out))
+    assert not out.exists()
+
+
 def test_determinism_same_seed():
     losses = []
     for _ in range(2):
