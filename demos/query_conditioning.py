@@ -7,7 +7,7 @@ query-aware wirings solve the mapping exactly.
 
 from qatip.config import RunConfig
 from qatip.corpus import encode_records, vocab_from_records
-from qatip.generation import greedy_decode
+from qatip.generation import first_token_accuracy
 from qatip.synthetic import query_sensitivity_corpus
 from qatip.train import train_model
 from qatip.transformer import QaTransformerModel, TransformerConfig
@@ -17,14 +17,6 @@ vocab = vocab_from_records(records)
 triplets = encode_records(records, vocab, review_max_len=12, query_max_len=2, tip_max_len=3)
 print("shared review:", records[0]["review"])
 print("sample pairs :", [(r["query"], r["tip"]) for r in records[:4]])
-
-
-def accuracy(model):
-    hits = 0
-    for trip in triplets:
-        ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=3)
-        hits += bool(ids) and ids[0] == trip.tip_ids[1]
-    return hits / len(triplets)
 
 
 def train(variant, epochs):
@@ -39,5 +31,5 @@ def train(variant, epochs):
 
 print("\nmajority class floor: 12.5% (8 balanced classes)")
 for variant in ("vanilla", "qa_enc", "qa_dec", "both"):
-    acc = accuracy(train(variant, epochs=60))
+    acc = first_token_accuracy(train(variant, epochs=60), triplets)
     print(f"  {variant:8s} tip-token accuracy {acc:6.1%}")

@@ -8,7 +8,7 @@ import numpy as np
 from qatip.checkpoint import load_checkpoint, save_checkpoint
 from qatip.config import RunConfig
 from qatip.corpus import detokenize, encode_records, make_batches, vocab_from_records
-from qatip.generation import BeamConfig, beam_search, greedy_decode
+from qatip.generation import BeamConfig, beam_search, exact_match_rate, greedy_decode
 from qatip.synthetic import overfit_corpus
 from qatip.train import mean_loss, train_model
 from qatip.transformer import QaTransformerModel, TransformerConfig
@@ -35,10 +35,7 @@ def report(stats):
 train_model(model, triplets, [], RunConfig(epochs=60, lr=0.002, batch_size=16, seed=7), log=report)
 
 # greedy decoding reproduces the memorized tips
-hits = 0
-for trip in triplets:
-    ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=8)
-    hits += detokenize(vocab.decode(ids)) == trip.raw_tip
+hits = round(exact_match_rate(model, triplets, vocab, max_len=8) * len(triplets))
 print(f"greedy reproduces {hits}/{len(triplets)} training tips")
 
 # a wider beam returns ranked alternatives with log-probabilities

@@ -7,7 +7,8 @@ Each line is a name and a sha256, to compare between two trees:
 - ``decode-transformer`` and ``decode-rnn-bigvocab``: the record id, token
   ids, ``float.hex`` score and error of the first 40 records the workload
   decodes;
-- ``gradcheck``: the stdout of ``qatip gradcheck --repeats 2 --skip-models``.
+- ``gradcheck``: each op check's name and ``float.hex`` worst error from
+  the run ``qatip gradcheck --repeats 2 --skip-models`` makes.
 
 The workloads run at seed 4 from ``perfbench/workloads.py``, with BLAS capped
 at one thread as ``perfbench/run.py`` caps it.  Run from the repository root:
@@ -17,7 +18,6 @@ at one thread as ``perfbench/run.py`` caps it.  Run from the repository root:
 
 import hashlib
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -30,6 +30,7 @@ run.cap_blas_threads()  # before numpy loads; puts src/ on the path
 
 import workloads  # noqa: E402
 from qatip.checkpoint import _PREAMBLE  # noqa: E402
+from qatip.gradcheck import run_gradient_suite  # noqa: E402
 
 SEED = 4
 TRAIN_ROUNDS = 2
@@ -64,10 +65,8 @@ def decoded(name: str, run_dir: str) -> str:
 
 
 def gradcheck() -> str:
-    env = {**os.environ, "PYTHONPATH": run.SRC}
-    out = subprocess.run([sys.executable, "-m", "qatip.cli", "gradcheck", "--repeats", "2", "--skip-models"],
-                         env=env, check=True, capture_output=True).stdout
-    return hashlib.sha256(out).hexdigest()
+    results = run_gradient_suite(repeats=2, include_models=False)
+    return hashlib.sha256("".join(f"{r.name}\t{r.max_err.hex()}\n" for r in results).encode()).hexdigest()
 
 
 def main() -> None:

@@ -55,10 +55,20 @@ def _read_generated(path: str) -> list[dict]:
     return rows
 
 
-def cmd_build_vocab(args) -> int:
-    from .corpus import load_jsonl, vocab_from_records
+def _load_records(path: str, inference: bool = False) -> list[dict]:
+    """The records of a jsonl dataset; a file that holds none is refused."""
+    from .corpus import DatasetError, load_jsonl
 
-    records = load_jsonl(args.data, inference=True)
+    records = load_jsonl(path, inference=inference)
+    if not records:
+        raise DatasetError(f"{path}: no records")
+    return records
+
+
+def cmd_build_vocab(args) -> int:
+    from .corpus import vocab_from_records
+
+    records = _load_records(args.data, inference=True)
     vocab = vocab_from_records(
         records, mode=args.mode, min_freq=args.min_freq, max_size=args.max_size
     )
@@ -82,7 +92,7 @@ def _load_training_config(args):
 
 
 def cmd_train(args) -> int:
-    from .corpus import DatasetError, Vocabulary, encode_records, load_jsonl, split_dataset
+    from .corpus import Vocabulary, encode_records, split_dataset
     from .models import FAMILIES
     from .train import train_model
 
@@ -96,9 +106,7 @@ def cmd_train(args) -> int:
         model_config = model_config_from_run(config, vocab.size)
     except ValueError as exc:
         raise ConfigError(f"invalid model settings: {exc}") from None
-    records = load_jsonl(config.data)
-    if not records:
-        raise DatasetError(f"{config.data}: no training records")
+    records = _load_records(config.data)
     triplets = encode_records(
         records,
         vocab,
@@ -136,7 +144,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     from .checkpoint import load_checkpoint
-    from .corpus import UNK_ID, Vocabulary, encode_records, load_jsonl, write_jsonl
+    from .corpus import UNK_ID, Vocabulary, encode_records, write_jsonl
     from .generation import BeamConfig, batch_generate
 
     model, snapshot = load_checkpoint(args.checkpoint)
@@ -156,7 +164,7 @@ def cmd_generate(args) -> int:
     # the run the checkpoint was trained with; command-line flags override it
     run = run_config_from_dict(snapshot.get("run", {}), check_paths=False)
     mode = args.mode or run.tokenize_mode
-    records = load_jsonl(args.data, inference=True)
+    records = _load_records(args.data, inference=True)
     triplets = encode_records(
         records,
         vocab,
@@ -196,10 +204,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .corpus import Triplet, load_jsonl, write_jsonl
+    from .corpus import Triplet, write_jsonl
     from .evaluation import evaluate_run
 
-    refs = load_jsonl(args.ref)
+    refs = _load_records(args.ref)
     triplets = [
         Triplet((), (), (), r["review"], r["query"], r["tip"], r.get("id"))
         for r in refs
@@ -222,9 +230,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     from .baselines import Bm25Params, extract_bm25, extract_embed, query_lead
-    from .corpus import load_jsonl, write_jsonl
+    from .corpus import write_jsonl
 
-    records = load_jsonl(args.data, inference=True)
+    records = _load_records(args.data, inference=True)
     if args.method == "embed":
         if not args.embeddings:
             raise CliError("--embeddings is required for the embed method")

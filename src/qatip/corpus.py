@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -313,7 +313,6 @@ class DatasetSplit:
     train: list
     valid: list
     test: list
-    split_seed: int
 
 
 def split_dataset(records: Sequence, seed: int) -> DatasetSplit:
@@ -328,7 +327,6 @@ def split_dataset(records: Sequence, seed: int) -> DatasetSplit:
         train=shuffled[:n_train],
         valid=shuffled[n_train : n_train + n_valid],
         test=shuffled[n_train + n_valid :],
-        split_seed=seed,
     )
 
 
@@ -348,7 +346,6 @@ class Batch:
     tip_input: np.ndarray
     tip_target: np.ndarray
     tip_lengths: np.ndarray
-    triplets: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -382,7 +379,6 @@ def make_batch(triplets: Sequence[Triplet]) -> Batch:
         tip_input=tip_in,
         tip_target=tip_tgt,
         tip_lengths=tip_lengths,
-        triplets=list(triplets),
     )
 
 

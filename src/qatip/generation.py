@@ -99,6 +99,24 @@ def greedy_decode(model, review_ids, query_ids, max_len: int, ban_tokens=(UNK_ID
     return ids[1:]
 
 
+def exact_match_rate(model, triplets, vocab: Vocabulary, max_len: int) -> float:
+    """Share of triplets whose greedy tip, detokenized, equals the raw tip."""
+    hits = 0
+    for trip in triplets:
+        ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=max_len)
+        hits += detokenize(vocab.decode(ids)) == trip.raw_tip
+    return hits / len(triplets)
+
+
+def first_token_accuracy(model, triplets) -> float:
+    """Share of triplets whose first greedy token is the tip's first token."""
+    hits = 0
+    for trip in triplets:
+        ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=3)
+        hits += bool(ids) and ids[0] == trip.tip_ids[1]
+    return hits / len(triplets)
+
+
 def top_candidates(live: list[Hypothesis], log_probs: np.ndarray, config: BeamConfig):
     """The ``config.width`` best expansions of ``live`` as (row, Hypothesis), best first.
 

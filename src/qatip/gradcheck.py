@@ -4,6 +4,8 @@ Central differences (f(x+h) - f(x-h)) / 2h computed from forward passes
 only, so the check never depends on the backward code it is validating.
 All checks run in float64 with the constants below: step h = ``STEP``,
 per-op tolerance ``OP_TOL`` and full-model tolerance ``MODEL_TOL``.
+Each op check draws its inputs and names its forward; ``_probed`` turns
+the output into the one scalar loss the checks share.
 """
 
 from __future__ import annotations
@@ -76,18 +78,30 @@ def _randn(rng, shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
+def _probed(rng, inputs: dict[str, Tensor], forward) -> float:
+    """``check_grads`` on ``sum(forward() * probe)``.
+
+    The probe is a standard-normal draw of the output's shape, taken after
+    the inputs', so every output element carries its own weight.
+    """
+    probe = Tensor(rng.standard_normal(forward().shape), dtype=np.float64)
+    return check_grads(inputs, lambda: T.sum_all(T.mul(forward(), probe)))
+
+
+def _unary(op: str, draw=lambda rng: rng.standard_normal((2, 3, 4))):
+    """The check of the one-input op ``T.<op>``, its input drawn by ``draw(rng)``."""
+
+    def check(rng):
+        a = Tensor(draw(rng), requires_grad=True, dtype=np.float64)
+        return _probed(rng, {"a": a}, lambda: getattr(T, op)(a))
+
+    return check
+
+
 def _check_matmul(rng):
     b, n, k, m = rng.integers(1, 4), rng.integers(2, 5), rng.integers(2, 5), rng.integers(2, 5)
-    a = _randn(rng, (b, n, k))
-    w = _randn(rng, (k, m))
-    full = _randn(rng, (b, k, m))
-    probe = rng.standard_normal((b, n, m))
-
-    def loss():
-        out = T.add(T.matmul(a, w), T.matmul(a, full))
-        return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "w": w, "full": full}, loss)
+    a, w, full = _randn(rng, (b, n, k)), _randn(rng, (k, m)), _randn(rng, (b, k, m))
+    return _probed(rng, {"a": a, "w": w, "full": full}, lambda: T.add(T.matmul(a, w), T.matmul(a, full)))
 
 
 def _check_linear(rng):
@@ -96,159 +110,71 @@ def _check_linear(rng):
     b = _randn(rng, (k,))
     w_t = _randn(rng, (k, d))  # read through a transposed view, as the tied output layer reads
     xs = {f"x{n}": _randn(rng, tuple(rng.integers(1, 4, size=n - 1)) + (d,)) for n in (2, 3, 4)}
-    probes = [rng.standard_normal(x.shape[:-1] + (k,)) for x in xs.values()]
+    probes = [Tensor(rng.standard_normal(x.shape[:-1] + (k,)), dtype=np.float64) for x in xs.values()]
 
     def loss():
         total = Tensor(np.zeros(()), dtype=np.float64)
         for x, probe in zip(xs.values(), probes):
             out = T.add(T.linear(x, w, b), T.linear(x, T.transpose(w_t)))
-            total = T.add(total, T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64))))
+            total = T.add(total, T.sum_all(T.mul(out, probe)))
         return total
 
     return check_grads({"w": w, "b": b, "w_t": w_t, **xs}, loss)
 
 
-def _check_transpose(rng):
-    a = _randn(rng, (2, 3, 4))
-    probe = rng.standard_normal((2, 4, 3))
-
-    def loss():
-        return T.sum_all(T.mul(T.transpose(a), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a}, loss)
-
-
 def _check_add_sub(rng):
-    a = _randn(rng, (2, 3, 4))
-    b = _randn(rng, (3, 4))
-    c = _randn(rng, (2, 1, 4))
-    probe = rng.standard_normal((2, 3, 4))
-
-    def loss():
-        out = T.sub(T.add(a, b), c)
-        return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "b": b, "c": c}, loss)
+    a, b, c = _randn(rng, (2, 3, 4)), _randn(rng, (3, 4)), _randn(rng, (2, 1, 4))
+    return _probed(rng, {"a": a, "b": b, "c": c}, lambda: T.sub(T.add(a, b), c))
 
 
 def _check_mul(rng):
-    a = _randn(rng, (2, 3, 4))
-    b = _randn(rng, (1, 3, 1))
-    probe = rng.standard_normal((2, 3, 4))
-
-    def loss():
-        return T.sum_all(T.mul(T.mul(a, b), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "b": b}, loss)
+    a, b = _randn(rng, (2, 3, 4)), _randn(rng, (1, 3, 1))
+    return _probed(rng, {"a": a, "b": b}, lambda: T.mul(a, b))
 
 
 def _check_scale(rng):
-    a = _randn(rng, (3, 5))
-    c = float(rng.uniform(-2, 2))
-    probe = rng.standard_normal((3, 5))
-
-    def loss():
-        return T.sum_all(T.mul(T.scale(a, c), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a}, loss)
+    a, c = _randn(rng, (3, 5)), float(rng.uniform(-2, 2))
+    return _probed(rng, {"a": a}, lambda: T.scale(a, c))
 
 
-def _unary_check(rng, op, data=None):
-    a = Tensor(data if data is not None else rng.standard_normal((2, 3, 4)), requires_grad=True, dtype=np.float64)
-    probe = rng.standard_normal(a.shape)
-
-    def loss():
-        return T.sum_all(T.mul(op(a), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a}, loss)
-
-
-def _check_sigmoid(rng):
-    return _unary_check(rng, T.sigmoid, rng.standard_normal((2, 3, 4)) * 3)
-
-
-def _check_tanh(rng):
-    return _unary_check(rng, T.tanh)
-
-
-def _check_relu(rng):
-    # keep inputs away from the kink at zero, where the derivative jumps
+def _away_from_zero(rng):
+    """Inputs kept off relu's kink at zero, where the derivative jumps."""
     mag = rng.uniform(0.05, 1.5, size=(2, 3, 4))
-    sign = rng.choice([-1.0, 1.0], size=(2, 3, 4))
-    return _unary_check(rng, T.relu, mag * sign)
+    return mag * rng.choice([-1.0, 1.0], size=(2, 3, 4))
 
 
-def _check_softmax(rng):
+def _check_softmax_masked(rng):
     a = _randn(rng, (2, 3, 5))
     mask = rng.random((2, 3, 5)) > 0.3
     mask[..., 0] = True
-    probe = rng.standard_normal((2, 3, 5))
-
-    def loss():
-        return T.sum_all(T.mul(T.softmax_rows(a, mask=mask), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a}, loss)
-
-
-def _check_softmax_unmasked(rng):
-    return _unary_check(rng, T.softmax_rows)
+    return _probed(rng, {"a": a}, lambda: T.softmax_rows(a, mask=mask))
 
 
 def _check_layer_norm(rng):
     a = _randn(rng, (2, 3, 6))
     gain = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True, dtype=np.float64)
     bias = _randn(rng, (6,))
-    probe = rng.standard_normal((2, 3, 6))
-
-    def loss():
-        return T.sum_all(T.mul(T.layer_norm(a, gain, bias), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "gain": gain, "bias": bias}, loss)
+    return _probed(rng, {"a": a, "gain": gain, "bias": bias}, lambda: T.layer_norm(a, gain, bias))
 
 
 def _check_concat_slice(rng):
-    a = _randn(rng, (2, 3, 4))
-    b = _randn(rng, (2, 3, 2))
-    probe = rng.standard_normal((2, 3, 3))
-
-    def loss():
-        joined = T.concat([a, b], axis=-1)
-        piece = T.slice_axis(joined, -1, 1, 4)
-        return T.sum_all(T.mul(piece, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "b": b}, loss)
+    a, b = _randn(rng, (2, 3, 4)), _randn(rng, (2, 3, 2))
+    return _probed(rng, {"a": a, "b": b}, lambda: T.slice_axis(T.concat([a, b], axis=-1), -1, 1, 4))
 
 
 def _check_embedding(rng):
-    table = _randn(rng, (7, 3))
-    ids = rng.integers(0, 7, size=(2, 4))
-    probe = rng.standard_normal((2, 4, 3))
-
-    def loss():
-        return T.sum_all(T.mul(T.embedding_lookup(table, ids), Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"table": table}, loss)
+    table, ids = _randn(rng, (7, 3)), rng.integers(0, 7, size=(2, 4))
+    return _probed(rng, {"table": table}, lambda: T.embedding_lookup(table, ids))
 
 
 def _check_reshape_broadcast(rng):
-    a = _randn(rng, (2, 6))
-    b = _randn(rng, (1, 3, 1))
-    probe = rng.standard_normal((2, 3, 2))
-
-    def loss():
-        out = T.mul(T.reshape(a, (2, 3, 2)), T.broadcast_to(b, (2, 3, 2)))
-        return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a, "b": b}, loss)
+    a, b = _randn(rng, (2, 6)), _randn(rng, (1, 3, 1))
+    return _probed(rng, {"a": a, "b": b}, lambda: T.mul(T.reshape(a, (2, 3, 2)), T.broadcast_to(b, (2, 3, 2))))
 
 
 def _check_mean(rng):
     a = _randn(rng, (3, 4))
-
-    def loss():
-        return T.mean_all(T.sigmoid(a))
-
-    return check_grads({"a": a}, loss)
+    return check_grads({"a": a}, lambda: T.mean_all(T.sigmoid(a)))
 
 
 def _check_nll(rng):
@@ -256,42 +182,26 @@ def _check_nll(rng):
     targets = rng.integers(0, 5, size=(2, 3))
     mask = rng.random((2, 3)) > 0.4
     mask[:, 0] = True
-
-    def loss():
-        return T.nll_loss(logits, targets, pad_mask=mask)
-
-    return check_grads({"logits": logits}, loss)
+    return check_grads({"logits": logits}, lambda: T.nll_loss(logits, targets, pad_mask=mask))
 
 
 def _check_dropout(rng):
-    a = _randn(rng, (2, 3, 4))
-    keep = rng.random((2, 3, 4)) >= 0.3
-    probe = rng.standard_normal((2, 3, 4))
-
-    def loss():
-        out = T.dropout(a, 0.3, mask=keep)
-        return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
-
-    return check_grads({"a": a}, loss)
+    a, keep = _randn(rng, (2, 3, 4)), rng.random((2, 3, 4)) >= 0.3
+    return _probed(rng, {"a": a}, lambda: T.dropout(a, 0.3, mask=keep))
 
 
 def _check_lstm_scan(rng):
     b, n, e, d = 3, 4, 3, 2
-    x = _randn(rng, (b, n, e))
-    w_x = _randn(rng, (e, 4 * d))
-    w_h = _randn(rng, (d, 4 * d))
-    bias = _randn(rng, (4 * d,))
+    x, w_x, w_h, bias = _randn(rng, (b, n, e)), _randn(rng, (e, 4 * d)), _randn(rng, (d, 4 * d)), _randn(rng, (4 * d,))
     lengths = np.array([n, 1, rng.integers(1, n + 1)])  # a full row, a length-1 row, one at random
     mask = np.arange(n)[None, :] < lengths[:, None]
-    probe = rng.standard_normal((b, n, d))
-    worst = 0.0
-    for reverse in (False, True):
-        def loss():
-            out = T.lstm_scan(x, w_x, w_h, bias, mask, reverse=reverse)
-            return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
+    probe = Tensor(rng.standard_normal((b, n, d)), dtype=np.float64)  # one probe for both directions
 
-        worst = max(worst, check_grads({"x": x, "w_x": w_x, "w_h": w_h, "b": bias}, loss))
-    return worst
+    def loss(reverse):
+        return T.sum_all(T.mul(T.lstm_scan(x, w_x, w_h, bias, mask, reverse=reverse), probe))
+
+    inputs = {"x": x, "w_x": w_x, "w_h": w_h, "b": bias}
+    return max(check_grads(inputs, lambda: loss(reverse)) for reverse in (False, True))
 
 
 def _check_decoder_scan(rng):
@@ -302,28 +212,25 @@ def _check_decoder_scan(rng):
         ("x", (b, m, e)), ("h_tilde", (b, n, k)), ("s0", (b, d)), ("w_c", (a, k + d)), ("b_c", (a,)),
         ("v", (a, 1)), ("w_x", (e + k, 4 * d)), ("w_h", (d, 4 * d)), ("b", (4 * d,)), ("w_v", (vocab, d)))}
     query = {"h_q": _randn(rng, (b, q)), "w_q": _randn(rng, (a, q))}
-    probe = rng.standard_normal((b, m, vocab))
-    worst = 0.0
-    for extra in ({}, query):  # without and with the query term
-        def loss():
-            out = T.decoder_scan(mask=mask, **inputs, **extra)
-            return T.sum_all(T.mul(out, Tensor(probe, dtype=np.float64)))
+    probe = Tensor(rng.standard_normal((b, m, vocab)), dtype=np.float64)  # one probe without and with the query term
 
-        worst = max(worst, check_grads({**inputs, **extra}, loss))
-    return worst
+    def loss(extra):
+        return T.sum_all(T.mul(T.decoder_scan(mask=mask, **inputs, **extra), probe))
+
+    return max(check_grads({**inputs, **extra}, lambda: loss(extra)) for extra in ({}, query))
 
 
 OP_CHECKS = {
     "matmul": _check_matmul,
-    "transpose": _check_transpose,
+    "transpose": _unary("transpose"),
     "add_sub": _check_add_sub,
     "mul": _check_mul,
     "scale": _check_scale,
-    "sigmoid": _check_sigmoid,
-    "tanh": _check_tanh,
-    "relu": _check_relu,
-    "softmax_masked": _check_softmax,
-    "softmax": _check_softmax_unmasked,
+    "sigmoid": _unary("sigmoid", lambda rng: rng.standard_normal((2, 3, 4)) * 3),
+    "tanh": _unary("tanh"),
+    "relu": _unary("relu", _away_from_zero),
+    "softmax_masked": _check_softmax_masked,
+    "softmax": _unary("softmax_rows"),
     "layer_norm": _check_layer_norm,
     "concat_slice": _check_concat_slice,
     "embedding_lookup": _check_embedding,

@@ -32,7 +32,6 @@ from qatip.cli import main
 from qatip.config import RunConfig
 from qatip.corpus import (
     DatasetError,
-    detokenize,
     encode_records,
     load_jsonl,
     make_batches,
@@ -41,7 +40,7 @@ from qatip.corpus import (
 )
 from qatip.embeddings import EmbeddingTable, load_embeddings
 from qatip.evaluation import bleu_corpus, lexicon_score, semantic_score
-from qatip.generation import BeamConfig, beam_search, greedy_decode
+from qatip.generation import BeamConfig, beam_search, exact_match_rate, first_token_accuracy, greedy_decode
 from qatip.gradcheck import run_gradient_suite
 from qatip.rnn import QaRnnModel, RnnConfig
 from qatip.synthetic import overfit_corpus, pipeline_corpus, query_sensitivity_corpus
@@ -97,22 +96,6 @@ def gate(area):
 def check_every(k, predicate):
     """A ``train_model`` epoch callback that stops training once ``predicate()`` holds, asked every ``k`` epochs."""
     return lambda stats: (stats.epoch + 1) % k == 0 and predicate()
-
-
-def exact_match_rate(model, triplets, vocab, max_len):
-    hits = 0
-    for trip in triplets:
-        ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=max_len)
-        hits += detokenize(vocab.decode(ids)) == trip.raw_tip
-    return hits / len(triplets)
-
-
-def first_token_accuracy(model, triplets):
-    hits = 0
-    for trip in triplets:
-        ids = greedy_decode(model, trip.review_ids, trip.query_ids, max_len=3)
-        hits += bool(ids) and ids[0] == trip.tip_ids[1]
-    return hits / len(triplets)
 
 
 # ------------------------------------------------------------------ gate 1

@@ -6,6 +6,7 @@ import pytest
 
 from qatip.cli import main
 from qatip.corpus import write_jsonl
+from qatip.gradcheck import OP_CHECKS
 from qatip.synthetic import overfit_corpus, toy_embedding_file
 
 
@@ -92,8 +93,24 @@ def test_train_refuses_an_empty_data_file(workdir, capsys, tmp_path):
                  "--out", str(tmp_path / "run")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DatasetError"
-    assert err["message"] == f"{data}: no training records"
+    assert err["message"] == f"{data}: no records"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [
+    lambda data, work: ["build-vocab", "--data", data],
+    lambda data, work: ["baseline", "--method", "query_lead", "--data", data],
+    lambda data, work: ["generate", "--checkpoint", work["checkpoint"], "--vocab", work["vocab"], "--data", data],
+    lambda data, work: ["evaluate", "--hyp", data, "--ref", data],
+], ids=["build-vocab", "baseline", "generate", "evaluate"])
+def test_commands_refuse_an_empty_data_file(workdir, capsys, tmp_path, args):
+    data, out = tmp_path / "empty.jsonl", tmp_path / "out"
+    data.write_text("", encoding="utf-8")
+    assert main(args(str(data), workdir) + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DatasetError"
+    assert err["message"] == f"{data}: no records"
+    assert not out.exists()
 
 
 def test_generate_covers_every_record(workdir, capsys, tmp_path):
@@ -439,8 +456,6 @@ def test_gradcheck_reports_every_op(capsys):
     rc = main(["gradcheck", "--repeats", "1", "--skip-models"])
     assert rc == 0
     out = capsys.readouterr().out
-    from qatip.gradcheck import OP_CHECKS
-
     for name in OP_CHECKS:
         assert f"op:{name}" in out
     assert "max_rel_err" in out
@@ -453,6 +468,35 @@ def test_gradcheck_impossible_tolerance_fails(capsys, monkeypatch):
     rc = main(["gradcheck", "--repeats", "1", "--skip-models"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# for each op check, one op it checks: a mutant of that op must fail the check (a new check needs an entry)
+CHECKED_OP = {
+    "matmul": "matmul", "transpose": "transpose", "add_sub": "add", "mul": "mul", "scale": "scale",
+    "sigmoid": "sigmoid", "tanh": "tanh", "relu": "relu", "softmax_masked": "softmax_rows",
+    "softmax": "softmax_rows", "layer_norm": "layer_norm", "concat_slice": "concat",
+    "embedding_lookup": "embedding_lookup", "reshape_broadcast": "reshape", "mean_all": "mean_all",
+    "nll_loss": "nll_loss", "dropout": "dropout", "linear": "linear", "lstm_scan": "lstm_scan",
+    "decoder_scan": "decoder_scan",
+}
+
+
+@pytest.mark.parametrize("check", OP_CHECKS)
+def test_gradcheck_fails_an_op_whose_backward_is_off(capsys, monkeypatch, check):
+    """Scaling one op's backward outputs by 1 + 1e-3, as a profiler wraps them, fails that op's check."""
+    from qatip import tensor as T
+
+    exact = getattr(T, CHECKED_OP[check])
+
+    def mutant(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        backward = out._backward
+        out._backward = lambda g: [None if pg is None else pg * (1 + 1e-3) for pg in backward(g)]
+        return out
+
+    monkeypatch.setattr(T, CHECKED_OP[check], mutant)
+    assert main(["gradcheck", "--repeats", "1", "--skip-models"]) == 1
+    assert f"FAIL op:{check} " in capsys.readouterr().out
 
 
 def test_error_record_on_stderr(capsys):

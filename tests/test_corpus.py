@@ -324,9 +324,9 @@ class TestBatches:
             assert np.array_equal(ba.tip_target, bb.tip_target)
 
     def test_corpus_order_without_seed(self):
-        triplets, _ = toy_triplets(4)
+        triplets = [toy_triplets(1, tip_len=k)[0][0] for k in (1, 2, 3, 4)]  # tips of distinct lengths
         batches = make_batches(triplets, 4)
-        assert batches[0].triplets == triplets
+        assert batches[0].tip_lengths.tolist() == [2, 3, 4, 5]
 
 
 class TestEncodeRecords:

@@ -10,6 +10,8 @@ from qatip.generation import (
     Hypothesis,
     batch_generate,
     beam_search,
+    exact_match_rate,
+    first_token_accuracy,
     greedy_decode,
     rescore,
 )
@@ -50,6 +52,20 @@ def test_greedy_tie_goes_to_lowest_id():
     model.step_logits = lambda ctx, prefix: np.zeros(5)
     out = greedy_decode(model, (0,), (0,), max_len=2)
     assert out == (0, 0)  # PAD wins the all-equal tie; only UNK is banned
+
+
+def test_greedy_metrics_count_exact_tips_and_first_tokens():
+    vocab = Vocabulary(list(RESERVED_TOKENS) + ["good", "cake"])
+    # every record decodes "good cake": the rows favour 4, then 5, then EOS
+    model = TableModel(vocab_size=6, table={(1,): peaked(6, 4), (1, 4): peaked(6, 5), (1, 4, 5): peaked(6, 2)})
+
+    def trip(tip_ids, raw_tip):
+        return Triplet((7,), (8,), (1,) + tip_ids + (2,), "", "", raw_tip)
+
+    triplets = [trip((4, 5), "good cake"), trip((4,), "good"), trip((5, 4), "cake good"), trip((4, 5), "good cake")]
+    assert exact_match_rate(model, triplets, vocab, max_len=8) == 0.5
+    assert exact_match_rate(model, triplets, vocab, max_len=1) == 0.25  # the cap cuts every tip to "good"
+    assert first_token_accuracy(model, triplets) == 0.75
 
 
 def test_greedy_is_deterministic():
